@@ -16,9 +16,10 @@ class DegreeMismatch(GcrankError):
 
 
 class GroupTooLarge(GcrankError):
-    def __init__(self, cap):
-        super().__init__(f"group closure exceeded cap of {cap} elements")
+    def __init__(self, cap, order):
+        super().__init__(f"group order {order} exceeds cap of {cap} elements")
         self.cap = cap
+        self.order = order
 
 
 class UnknownElement(GcrankError):

@@ -8,8 +8,9 @@ Composition applies the *right* argument first:
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     DegreeMismatch,
@@ -48,6 +49,20 @@ class Permutation:
         return format_cycles(self)
 
 
+def _unchecked(images: tuple[int, ...]) -> Permutation:
+    """A Permutation from images already known to form a bijection."""
+    p = object.__new__(Permutation)
+    object.__setattr__(p, "images", images)
+    return p
+
+
+def _inverse_images(p: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for i, im in enumerate(p):
+        inv[im] = i
+    return tuple(inv)
+
+
 def identity(degree: int) -> Permutation:
     if degree < 1:
         raise InvalidDegree(f"degree must be >= 1, got {degree}")
@@ -58,14 +73,11 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     """The permutation applying q first, then p."""
     if p.degree != q.degree:
         raise DegreeMismatch(f"degrees {p.degree} and {q.degree} differ")
-    return Permutation(tuple(p.images[q.images[i]] for i in range(q.degree)))
+    return _unchecked(tuple(map(p.images.__getitem__, q.images)))
 
 
 def inverse(p: Permutation) -> Permutation:
-    inv = [0] * p.degree
-    for i, im in enumerate(p.images):
-        inv[im] = i
-    return Permutation(tuple(inv))
+    return _unchecked(_inverse_images(p.images))
 
 
 def fixed_points(p: Permutation) -> frozenset[int]:
@@ -153,18 +165,23 @@ def format_cycles(p: Permutation) -> str:
 
 
 # -- finite groups ---------------------------------------------------------
+#
+# The engine works on raw image tuples: ``tuple(map(p.__getitem__, q))`` is
+# the product "q first, then p".  Products of bijections are bijections, so
+# elements are wrapped in Permutation objects only at the end, unchecked.
 
 @dataclass(frozen=True)
 class FiniteGroup:
     """A group of permutations, materialized as an explicit element list.
 
     Element 0 is the identity; the order of the rest is the breadth-first
-    discovery order from the identity, which is deterministic.
+    discovery order from the identity, which is deterministic.  The
+    generators are kept: orbits and conjugacy classes are computed from them.
     """
 
     degree: int
     elements: tuple[Permutation, ...]
-    generator_names: dict[str, int] = field(default_factory=dict)
+    generators: tuple[Permutation, ...]
 
     @property
     def order(self) -> int:
@@ -184,85 +201,182 @@ class FiniteGroup:
         return cached
 
 
+def group_order(degree: int, generators) -> int:
+    """|<generators>| by deterministic Schreier-Sims, without closure.
+
+    Builds a base and strong generating set (Sims 1970; Seress,
+    *Permutation Group Algorithms*, 2003, sec. 4.2): level i holds the
+    generators known to fix the first i base points and a transversal of
+    the orbit of base point i under them.  Every Schreier generator of
+    every level is sifted through the levels below it; a non-trivial
+    residue becomes a new strong generator.  |G| is the product of the
+    orbit lengths.  ``generators`` is an iterable of Permutations.
+    """
+    ident = tuple(range(degree))
+    base: list[int] = []
+    strong: list[list[tuple[int, ...]]] = []
+    # per level: orbit point -> (u, u^-1) with u sending the base point there
+    trans: list[dict[int, tuple[tuple[int, ...], tuple[int, ...]]]] = []
+    # per level: (point, generator index) pairs whose Schreier generator
+    # sifts to the identity; transversals only grow, so this stays true
+    checked: list[set[tuple[int, int]]] = []
+
+    def new_level(h: tuple[int, ...]) -> None:
+        point = next(x for x in range(degree) if h[x] != x)
+        base.append(point)
+        strong.append([])
+        trans.append({point: (ident, ident)})
+        checked.append(set())
+
+    def add(level: int, h: tuple[int, ...]) -> None:
+        strong[level].append(h)
+        t = trans[level]
+        frontier = list(t)
+        for pt in frontier:
+            u = t[pt][0]
+            for s in strong[level]:
+                if s[pt] not in t:
+                    su = tuple(map(s.__getitem__, u))
+                    t[s[pt]] = (su, _inverse_images(su))
+                    frontier.append(s[pt])
+
+    def sift(h: tuple[int, ...], level: int) -> tuple[tuple[int, ...], int]:
+        for i in range(level, len(base)):
+            entry = trans[i].get(h[base[i]])
+            if entry is None:
+                return h, i
+            h = tuple(map(entry[1].__getitem__, h))
+        return h, len(base)
+
+    def first_residue(i: int) -> tuple[tuple[int, ...], int] | None:
+        """A Schreier generator of level i that does not sift, as its residue
+        and the level where sifting stopped."""
+        for pt, (u, _) in trans[i].items():
+            for k, s in enumerate(strong[i]):
+                if (pt, k) in checked[i]:
+                    continue
+                # u_{s(pt)}^-1 s u_pt fixes base[:i + 1]
+                uinv = trans[i][s[pt]][1]
+                residue, j = sift(tuple(uinv[s[x]] for x in u), i + 1)
+                if residue != ident:
+                    return residue, j
+                checked[i].add((pt, k))
+        return None
+
+    gens = [g for g in dict.fromkeys(p.images for p in generators) if g != ident]
+    for g in gens:
+        if all(g[b] == b for b in base):
+            new_level(g)
+    for i in range(len(base)):
+        for g in gens:
+            if all(g[b] == b for b in base[:i]):
+                add(i, g)
+
+    i = len(base) - 1
+    while i >= 0:
+        found = first_residue(i)
+        if found is None:
+            i -= 1
+            continue
+        residue, j = found
+        if j == len(base):
+            new_level(residue)
+        for level in range(i + 1, j + 1):
+            add(level, residue)
+        i = j
+    return math.prod(len(t) for t in trans)
+
+
 def generate_group(
     degree: int,
     generators: dict[str, Permutation],
     cap: int = DEFAULT_GROUP_CAP,
 ) -> FiniteGroup:
-    """Closure of the generators under composition, breadth-first."""
+    """Closure of the generators under composition, breadth-first.
+
+    The order is computed first by Schreier-Sims (``group_order``), so a
+    group larger than ``cap`` is refused before any element is built; the
+    error names the true order.  Closure then composes raw image tuples.
+    """
     for name, g in generators.items():
         if g.degree != degree:
             raise DegreeMismatch(
                 f"generator {name!r} has degree {g.degree}, expected {degree}"
             )
-    gens = list(generators.values())
-    start = identity(degree)
+    order = group_order(degree, generators.values())
+    # the identity is always materialized, so a trivial group passes any cap
+    if order > max(cap, 1):
+        raise GroupTooLarge(cap, order)
+    gens = [g.images for g in generators.values()]
+    start = tuple(range(degree))
     elements = [start]
-    seen = {start.images}
+    seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for e in frontier:
             for g in gens:
-                prod = compose(e, g)
-                if prod.images not in seen:
-                    if len(elements) >= cap:
-                        raise GroupTooLarge(cap)
-                    seen.add(prod.images)
+                prod = tuple(map(e.__getitem__, g))
+                if prod not in seen:
+                    seen.add(prod)
                     elements.append(prod)
                     nxt.append(prod)
         frontier = nxt
-    group = FiniteGroup(degree, tuple(elements))
-    names = {
-        name: group.index_of(g) for name, g in generators.items()
-    }
-    return FiniteGroup(degree, tuple(elements), names)
+    return FiniteGroup(
+        degree, tuple(map(_unchecked, elements)), tuple(generators.values())
+    )
 
 
 @dataclass(frozen=True)
 class ConjugacyClassPartition:
     classes: tuple[tuple[int, ...], ...]
 
-    @property
-    def representatives(self) -> tuple[int, ...]:
-        return tuple(c[0] for c in self.classes)
-
 
 def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassPartition:
-    """Brute-force conjugation over all elements; fine at desk scale."""
+    """Conjugacy classes as orbits under conjugation by the generators.
+
+    The class of h is its orbit under x -> g x g^-1 for the generators g
+    (Butler, *Fundamental Algorithms for Permutation Groups*, 1991), so
+    the cost is |G|·|S| conjugations, not k(G)·|G|.  Classes are listed by
+    their least element index, each as sorted indices, so ``cls[0]`` is
+    the representative.
+    """
+    index = group._index()
+    pairs = [(g.images, _inverse_images(g.images)) for g in group.generators]
     assigned = [False] * group.order
     classes = []
     for i, h in enumerate(group.elements):
         if assigned[i]:
             continue
-        members = set()
-        for k in group.elements:
-            conj = compose(compose(k, h), inverse(k))
-            members.add(group.index_of(conj))
-        cls = tuple(sorted(members))
-        for j in cls:
-            assigned[j] = True
-        classes.append(cls)
+        assigned[i] = True
+        members = [i]
+        frontier = [h.images]
+        for x in frontier:
+            for g, ginv in pairs:
+                conj = tuple(map(g.__getitem__, map(x.__getitem__, ginv)))
+                j = index[conj]
+                if not assigned[j]:
+                    assigned[j] = True
+                    members.append(j)
+                    frontier.append(conj)
+        classes.append(tuple(sorted(members)))
     return ConjugacyClassPartition(tuple(classes))
 
 
 def orbits(group: FiniteGroup) -> list[frozenset[int]]:
     """Orbits of the group on {0, ..., degree-1}, sorted by minimal point."""
+    gens = [g.images for g in group.generators]
     seen = [False] * group.degree
     result = []
     for start in range(group.degree):
         if seen[start]:
             continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            pt = frontier.pop()
-            for e in group.elements:
-                im = e.images[pt]
-                if im not in orbit:
-                    orbit.add(im)
-                    frontier.append(im)
+        seen[start] = True
+        orbit = [start]
         for pt in orbit:
-            seen[pt] = True
+            for g in gens:
+                if not seen[g[pt]]:
+                    seen[g[pt]] = True
+                    orbit.append(g[pt])
         result.append(frozenset(orbit))
     return result

@@ -96,12 +96,6 @@ class RankReport:
             for cls in self.classes.classes
         )
 
-    def class_size_of(self, element_index: int) -> int:
-        for cls in self.classes.classes:
-            if element_index in cls:
-                return len(cls)
-        raise UnknownElement(f"element index {element_index} not in any class")
-
     def to_json_dict(self) -> dict:
         group = self.symmetry.group
         sizes = {}

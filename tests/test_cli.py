@@ -176,6 +176,14 @@ class TestWreath:
         assert code == 0
         assert json.loads(out)["total_rank"] == "24"
 
+    def test_cap_error_names_order_and_cap(self, capsys):
+        code, out, err = run(
+            capsys, "wreath", "--rk", "2", "--n", "9", "--group", "a9", "--cap", "1000"
+        )
+        assert code == 1
+        assert out == ""
+        assert "181440" in err and "1000" in err
+
     def test_symmetric_group_never_materialized(self, capsys):
         # S_12 has ~479M elements; only its 77 cycle types are touched
         code, out, _ = run(

@@ -1,0 +1,58 @@
+"""Golden corpus: exit code and exact stdout of fixed CLI runs.
+
+The files under ``tests/golden/`` were recorded before the generator-based
+group engine replaced brute-force closure and conjugation, and pin the CLI
+output byte for byte across refactors of the engine.  To record them again
+after an intended output change, run ``PYTHONPATH=src python
+tests/test_golden.py`` from the repository root and review the diff.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+import gcrank
+from gcrank.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+TORIC_SWAP = str(gcrank.bundled_data_path("toric_code_swap.json"))
+D12 = "(1 2 3 4 5 6 7 8 9 10 11 12),(2 12)(3 11)(4 10)(5 9)(6 8)"
+# A_5 on points 1-5 times S_3 on points 6-8, with point 9 fixed
+A5_X_S3 = "(1 2 3),(1 2 3 4 5),(6 7),(6 7 8)"
+
+CASES = {
+    "wreath_a7_n9": ["wreath", "--rk", "3", "--n", "9", "--group", "a7", "--json"],
+    "wreath_s6_n8": ["wreath", "--rk", "2", "--n", "8", "--group", "s6", "--json"],
+    "wreath_d12": ["wreath", "--rk", "5", "--n", "12", "--group", D12, "--json"],
+    "wreath_a5_x_s3": ["wreath", "--rk", "4", "--n", "9", "--group", A5_X_S3, "--json"],
+    "rank_toric_swap": ["rank", "--sym", TORIC_SWAP, "--json"],
+    "rank_toric_swap_by_class": ["rank", "--sym", TORIC_SWAP, "--by-class"],
+    "burnside_toric_swap": ["burnside", "--sym", TORIC_SWAP, "--json"],
+}
+
+
+def run_case(argv) -> tuple[int, bytes]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name):
+    expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    code, stdout = run_case(CASES[name])
+    assert code == expected_codes[name]
+    assert stdout == (GOLDEN / f"{name}.stdout").read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for name, argv in sorted(CASES.items()):
+        codes[name], stdout = run_case(argv)
+        (GOLDEN / f"{name}.stdout").write_bytes(stdout)
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")

@@ -158,8 +158,10 @@ class TestGenerateGroup:
         assert set(group.elements) == powers
 
     def test_cap_exceeded(self):
-        with pytest.raises(GroupTooLarge):
+        assert generate_group(3, S3_GENS, cap=6).order == 6
+        with pytest.raises(GroupTooLarge) as info:
             generate_group(3, S3_GENS, cap=5)
+        assert (info.value.order, info.value.cap) == (6, 5)
 
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatch):
