@@ -2,7 +2,7 @@
 wreath ranks, and symmetric-group rank polynomials.
 
 Exit codes: 0 success, 1 domain failure (validation, inconsistency),
-2 usage or parse error.
+2 usage or parse error; each error class declares its own ``exit_code``.
 """
 
 from __future__ import annotations
@@ -12,29 +12,9 @@ import json
 import sys
 
 from . import perms, rank, symmetry, wreath
-from .errors import (
-    DegreeMismatch,
-    DualityViolation,
-    GcrankError,
-    GroupTooLarge,
-    InconsistencyError,
-    NotAnAutomorphism,
-    NotPrime,
-    OutOfRange,
-    ParseError,
-    TooLarge,
-)
+from .errors import GcrankError, ParseError
 from .mtc import load_mtc, validate_mtc
 from .perms import DEFAULT_GROUP_CAP
-
-_USAGE_ERRORS = (ParseError, OutOfRange, NotPrime, DegreeMismatch, TooLarge)
-_DOMAIN_ERRORS = (
-    NotAnAutomorphism,
-    DualityViolation,
-    InconsistencyError,
-    GroupTooLarge,
-    GcrankError,
-)
 
 
 def _print_json(doc) -> None:
@@ -90,10 +70,10 @@ def cmd_validate(args) -> int:
                 else:
                     _print_violations(f"generator {name}", gen_report)
         if ok:
-            group = perms.generate_group(mtc.rank, generators, cap=args.cap)
-            doc["group_order"] = group.order
+            order = perms.capped_order(mtc.rank, generators, cap=args.cap)
+            doc["group_order"] = order
             if not args.json:
-                print(f"symmetry group order: {group.order}")
+                print(f"symmetry group order: {order}")
     if args.json:
         _print_json(doc)
     return 0 if ok else 1
@@ -102,16 +82,17 @@ def cmd_validate(args) -> int:
 def _render_rank_table(report: rank.RankReport, by_class: bool) -> None:
     s = report.symmetry
     # large groups are unreadable element-by-element
+    labels = s.mtc.labels
     if by_class or s.group.order > 50:
         rows = [
-            (s.label_cycles(s.group.elements[rep]), str(size), str(rk))
+            (perms.format_cycles(s.group.elements[rep], labels), str(size), str(rk))
             for rep, size, rk in report.per_class
         ]
         _print_table(("representative", "class size", "rank"), rows)
     else:
-        sizes = {i: len(c) for c in report.classes.classes for i in c}
         rows = [
-            (s.label_cycles(e), str(sizes[i]), str(report.per_element[i]))
+            (perms.format_cycles(e, labels), str(report.class_sizes[i]),
+             str(report.per_element[i]))
             for i, e in enumerate(s.group.elements)
         ]
         _print_table(("element", "class size", "rank"), rows)
@@ -144,21 +125,18 @@ def cmd_burnside(args) -> int:
     s = _load_symmetry(args)
     report = rank.rank_report(s)
     labels = s.mtc.labels
-    orbit_strs = [
-        "{" + ", ".join(labels[i] for i in sorted(orbit)) + "}"
-        for orbit in report.orbits
-    ]
+    orbits = [[labels[i] for i in sorted(o)] for o in report.orbits]
     if args.json:
         _print_json({
-            "orbits": [[labels[i] for i in sorted(o)] for o in report.orbits],
+            "orbits": orbits,
             "orbit_count": report.orbit_count,
             "group_order": s.group.order,
             "fixed_point_sum": str(report.total_rank),
             "burnside_total": str(report.burnside_total),
         })
     else:
-        for line in orbit_strs:
-            print(line)
+        for orbit in orbits:
+            print("{" + ", ".join(orbit) + "}")
         print(f"orbit count: {report.orbit_count}")
         print(f"sum of fixed points:   {report.total_rank}")
         print(f"|G| x orbit count:     {report.burnside_total}")
@@ -261,6 +239,13 @@ def cmd_poly(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gcrank",
@@ -275,14 +260,13 @@ def build_parser() -> argparse.ArgumentParser:
         if sym:
             p.add_argument("--sym", help="path to a symmetry file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--cap", type=int, default=DEFAULT_GROUP_CAP,
-                       help="group-size cap (default %(default)s)")
+        p.add_argument("--cap", type=positive_int, default=DEFAULT_GROUP_CAP,
+                       help="group-size cap, at least 1 (default %(default)s)")
 
     p = sub.add_parser("validate", help="validate an MTC file and optional symmetry")
     p.add_argument("--mtc", required=True)
     p.add_argument("--sym")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--cap", type=int, default=DEFAULT_GROUP_CAP)
+    common(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("rank", help="per-element and total extension ranks")
@@ -317,15 +301,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except (GcrankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code if isinstance(exc, GcrankError) else 2
 
 
 if __name__ == "__main__":

@@ -2,7 +2,16 @@
 
 
 class GcrankError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; ``exit_code`` is
+    the CLI's exit status for it, 1 for a domain failure."""
+
+    exit_code = 1
+
+
+class UsageError(GcrankError):
+    """Malformed input or an argument out of range: exit status 2."""
+
+    exit_code = 2
 
 
 # -- permutation / group errors -------------------------------------------
@@ -11,7 +20,7 @@ class InvalidDegree(GcrankError):
     pass
 
 
-class DegreeMismatch(GcrankError):
+class DegreeMismatch(UsageError):
     pass
 
 
@@ -28,7 +37,7 @@ class UnknownElement(GcrankError):
 
 # -- data file errors ------------------------------------------------------
 
-class ParseError(GcrankError):
+class ParseError(UsageError):
     pass
 
 
@@ -67,13 +76,13 @@ class InconsistencyError(GcrankError):
 
 # -- wreath / numeric range errors ----------------------------------------
 
-class OutOfRange(GcrankError):
+class OutOfRange(UsageError):
     pass
 
 
-class NotPrime(GcrankError):
+class NotPrime(UsageError):
     pass
 
 
-class TooLarge(GcrankError):
+class TooLarge(UsageError):
     pass

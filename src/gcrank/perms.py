@@ -1,7 +1,8 @@
 """Exact permutations and finite permutation groups.
 
-Points are 0-indexed internally.  All user-facing cycle notation is
-1-indexed, e.g. ``"(1 2 3)(4 5)"``; the empty string denotes the identity.
+Points are 0-indexed internally.  Integer cycle notation is 1-indexed,
+e.g. ``"(1 2 3)(4 5)"``; the empty string denotes the identity.  The same
+parser and formatter handle notation over labels, e.g. ``"(e m)"``.
 Composition applies the *right* argument first:
 ``compose(p, q)(i) == p(q(i))``.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DegreeMismatch,
@@ -41,9 +43,6 @@ class Permutation:
 
     def __call__(self, point: int) -> int:
         return self.images[point]
-
-    def is_identity(self) -> bool:
-        return all(im == i for i, im in enumerate(self.images))
 
     def __str__(self) -> str:
         return format_cycles(self)
@@ -124,28 +123,30 @@ def cycle_decomposition(p: Permutation) -> CycleDecomposition:
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def tokenize_cycles(text: str) -> list[list[str]]:
-    """Split ``"(a b)(c d e)"`` into token lists; raises ParseError on junk."""
+def parse_cycles(text: str, degree: int, point=None) -> Permutation:
+    """Parse cycle notation such as ``"(1 2 3)(4 5)"`` into a Permutation
+    of the given degree; the empty string is the identity.
+
+    Without ``point``, tokens are 1-indexed integers.  ``point`` maps a
+    token to its 0-indexed point instead, e.g. ``ModularData.label_index``
+    for ``"(e m)"``, and raises ParseError for a token it does not know.
+    """
     stripped = text.strip()
     if stripped and not re.fullmatch(r"(\s*\([^()]*\)\s*)+", stripped):
         raise ParseError(f"malformed cycle notation: {text!r}")
-    return [m.group(1).split() for m in _CYCLE_RE.finditer(stripped)]
-
-
-def parse_cycles(text: str, degree: int) -> Permutation:
-    """Parse 1-indexed cycle notation into a Permutation of the given degree."""
-    images = list(range(degree))
-    mentioned: set[int] = set()
-    for tokens in tokenize_cycles(text):
-        points = []
-        for tok in tokens:
+    if point is None:
+        def point(tok: str) -> int:
             try:
                 val = int(tok)
             except ValueError:
                 raise ParseError(f"non-integer point {tok!r} in {text!r}") from None
             if not 1 <= val <= degree:
                 raise ParseError(f"point {val} out of range 1..{degree}")
-            points.append(val - 1)
+            return val - 1
+    images = list(range(degree))
+    mentioned: set[int] = set()
+    for m in _CYCLE_RE.finditer(stripped):
+        points = [point(tok) for tok in m.group(1).split()]
         if len(set(points)) != len(points) or mentioned & set(points):
             raise ParseError(f"repeated point in cycle notation {text!r}")
         mentioned |= set(points)
@@ -154,10 +155,16 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     return Permutation(tuple(images))
 
 
-def format_cycles(p: Permutation) -> str:
-    """1-indexed cycle notation; fixed points omitted; identity is ``"()"``."""
+def format_cycles(p: Permutation, names=None) -> str:
+    """Cycle notation with fixed points omitted; the identity is ``"()"``.
+
+    Points are written 1-indexed, or as ``names[point]`` when a sequence
+    of names is given, e.g. the labels of a ModularData for ``"(e m)"``.
+    """
+    if names is None:
+        names = [str(pt + 1) for pt in range(p.degree)]
     parts = [
-        "(" + " ".join(str(pt + 1) for pt in cycle) + ")"
+        "(" + " ".join(names[pt] for pt in cycle) + ")"
         for cycle in cycle_decomposition(p).cycles
         if len(cycle) > 1
     ]
@@ -188,17 +195,11 @@ class FiniteGroup:
         return len(self.elements)
 
     def index_of(self, p: Permutation) -> int | None:
-        return self._index().get(p.images)
+        return self._index.get(p.images)
 
-    def __contains__(self, p: Permutation) -> bool:
-        return p.images in self._index()
-
+    @cached_property
     def _index(self) -> dict[tuple[int, ...], int]:
-        cached = getattr(self, "_index_cache", None)
-        if cached is None:
-            cached = {e.images: i for i, e in enumerate(self.elements)}
-            object.__setattr__(self, "_index_cache", cached)
-        return cached
+        return {e.images: i for i, e in enumerate(self.elements)}
 
 
 def group_order(degree: int, generators) -> int:
@@ -287,6 +288,24 @@ def group_order(degree: int, generators) -> int:
     return math.prod(len(t) for t in trans)
 
 
+def capped_order(
+    degree: int,
+    generators: dict[str, Permutation],
+    cap: int = DEFAULT_GROUP_CAP,
+) -> int:
+    """|<generators>| by ``group_order`` once every generator has the
+    degree; GroupTooLarge, naming the order, when it exceeds ``cap``."""
+    for name, g in generators.items():
+        if g.degree != degree:
+            raise DegreeMismatch(
+                f"generator {name!r} has degree {g.degree}, expected {degree}"
+            )
+    order = group_order(degree, generators.values())
+    if order > cap:
+        raise GroupTooLarge(cap, order)
+    return order
+
+
 def generate_group(
     degree: int,
     generators: dict[str, Permutation],
@@ -294,19 +313,11 @@ def generate_group(
 ) -> FiniteGroup:
     """Closure of the generators under composition, breadth-first.
 
-    The order is computed first by Schreier-Sims (``group_order``), so a
-    group larger than ``cap`` is refused before any element is built; the
-    error names the true order.  Closure then composes raw image tuples.
+    The order is checked against ``cap`` first (``capped_order``), so a
+    group too large is refused before any element is built.  Closure then
+    composes raw image tuples.
     """
-    for name, g in generators.items():
-        if g.degree != degree:
-            raise DegreeMismatch(
-                f"generator {name!r} has degree {g.degree}, expected {degree}"
-            )
-    order = group_order(degree, generators.values())
-    # the identity is always materialized, so a trivial group passes any cap
-    if order > max(cap, 1):
-        raise GroupTooLarge(cap, order)
+    capped_order(degree, generators, cap)
     gens = [g.images for g in generators.values()]
     start = tuple(range(degree))
     elements = [start]
@@ -341,7 +352,7 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassPartition:
     their least element index, each as sorted indices, so ``cls[0]`` is
     the representative.
     """
-    index = group._index()
+    index = group._index
     pairs = [(g.images, _inverse_images(g.images)) for g in group.generators]
     assigned = [False] * group.order
     classes = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import perms
 from .errors import InconsistencyError, UnknownElement
@@ -96,17 +97,18 @@ class RankReport:
             for cls in self.classes.classes
         )
 
+    @cached_property
+    def class_sizes(self) -> dict[int, int]:
+        """Element index -> size of its conjugacy class."""
+        return {i: len(cls) for cls in self.classes.classes for i in cls}
+
     def to_json_dict(self) -> dict:
         group = self.symmetry.group
-        sizes = {}
-        for cls in self.classes.classes:
-            for i in cls:
-                sizes[i] = len(cls)
         return {
             "per_element": [
                 {
                     "element": perms.format_cycles(e),
-                    "class_size": sizes[i],
+                    "class_size": self.class_sizes[i],
                     "rank": str(self.per_element[i]),
                 }
                 for i, e in enumerate(group.elements)

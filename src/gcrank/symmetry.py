@@ -29,19 +29,6 @@ class GlobalSymmetry:
     mtc: ModularData
     group: FiniteGroup
 
-    @property
-    def order(self) -> int:
-        return self.group.order
-
-    def label_cycles(self, p: Permutation) -> str:
-        """Cycle notation over labels, e.g. ``"(e m)"``; identity is ``"()"``."""
-        parts = [
-            "(" + " ".join(self.mtc.labels[pt] for pt in cycle) + ")"
-            for cycle in perms.cycle_decomposition(p).cycles
-            if len(cycle) > 1
-        ]
-        return "".join(parts) if parts else "()"
-
 
 def validate_automorphism(m: ModularData, p: Permutation) -> ValidationReport:
     """Check that p preserves the unit, duals, fusion coefficients, and twists."""
@@ -120,16 +107,7 @@ def parse_generator(m: ModularData, spec) -> Permutation:
     """A generator is either a list of image labels (in declaration order)
     or a cycle-notation string over labels, e.g. ``"(e m)"``."""
     if isinstance(spec, str):
-        images = list(range(m.rank))
-        mentioned: set[int] = set()
-        for tokens in perms.tokenize_cycles(spec):
-            points = [m.label_index(tok) for tok in tokens]
-            if len(set(points)) != len(points) or mentioned & set(points):
-                raise ParseError(f"repeated label in cycle notation {spec!r}")
-            mentioned |= set(points)
-            for a, b in zip(points, points[1:] + points[:1]):
-                images[a] = b
-        return Permutation(tuple(images))
+        return perms.parse_cycles(spec, m.rank, m.label_index)
     if isinstance(spec, list):
         if len(spec) != m.rank:
             raise ParseError(

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from . import perms
 from .errors import NotPrime, OutOfRange, ParseError, TooLarge
 from .mtc import ModularData
@@ -154,10 +152,6 @@ class RankPolynomial:
         return " + ".join(parts) if parts else "0"
 
 
-def evaluate(poly: RankPolynomial, x: int) -> int:
-    return poly.evaluate(x)
-
-
 def rank_polynomial_symmetric(n: int) -> RankPolynomial:
     """Coefficient of x^k is the number of elements of S_n with k cycles."""
     coeffs = [0] * (n + 1)
@@ -234,16 +228,16 @@ def brute_force_wreath_rank(rk: int, group: FiniteGroup) -> int:
     count = rk**n
     if count > BRUTE_FORCE_CAP:
         raise TooLarge(f"rk^n = {count} exceeds cap {BRUTE_FORCE_CAP}")
+    # with n == 1 an itemgetter returns a bare entry, not a 1-tuple, so the
+    # moved tuple is compared with ``same(t)``, never with t itself
+    same = operator.itemgetter(*range(n))
+    moves = [operator.itemgetter(*e.images) for e in group.elements]
     total = 0
-    images = np.array([e.images for e in group.elements])
-    chunk = 1 << 18
-    for start in range(0, count, chunk):
-        idx = np.arange(start, min(start + chunk, count))
-        digits = np.empty((len(idx), n), dtype=np.int16)
-        for i in range(n):
-            digits[:, i] = (idx // rk ** (n - 1 - i)) % rk
-        for imgs in images:
-            total += int(np.all(digits[:, imgs] == digits, axis=1).sum())
+    for t in itertools.product(range(rk), repeat=n):
+        key = same(t)
+        for move in moves:
+            if move(t) == key:
+                total += 1
     return total
 
 

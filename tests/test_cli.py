@@ -1,6 +1,13 @@
+import inspect
 import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import gcrank
+from gcrank import cli, errors
 from gcrank.cli import main
 
 from conftest import fixture_path
@@ -66,6 +73,24 @@ class TestValidate:
         assert code == 0
         doc = json.loads(out)
         assert doc["mtc"]["ok"] is True
+
+    def test_group_order_without_closure(self, capsys, monkeypatch):
+        def no_closure(*args, **kwargs):
+            raise AssertionError("validate closed the group")
+
+        monkeypatch.setattr(gcrank.perms, "generate_group", no_closure)
+        code, out, _ = run(
+            capsys, "validate", "--mtc", TORIC, "--sym", TORIC_SWAP, "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["group_order"] == 2
+
+    def test_cap_error_names_order_and_cap(self, capsys):
+        code, _, err = run(
+            capsys, "validate", "--mtc", TORIC, "--sym", TORIC_SWAP, "--cap", "1"
+        )
+        assert code == 1
+        assert "group order 2 exceeds cap of 1 elements" in err
 
 
 class TestRank:
@@ -198,6 +223,57 @@ class TestWreath:
         _, first, _ = run(capsys, "wreath", "--rk", "3", "--n", "5", "--group", "s5", "--json")
         _, second, _ = run(capsys, "wreath", "--rk", "3", "--n", "5", "--group", "s5", "--json")
         assert first == second
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("argv", [
+    ["wreath", "--rk", "2", "--n", "3", "--group", "z3"],
+    ["validate", "--mtc", TORIC, "--sym", TORIC_SWAP],
+])
+def test_cap_below_one_is_usage_error(capsys, argv, cap):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv + ["--cap", cap])
+    assert exc_info.value.code == 2
+    assert "--cap" in capsys.readouterr().err
+
+
+# The documented exit code of every error class: 2 for usage and parse
+# errors, 1 for domain failures.
+EXIT_CODES = {
+    "GcrankError": 1, "UsageError": 2,
+    "InvalidDegree": 1, "DegreeMismatch": 2, "GroupTooLarge": 1,
+    "UnknownElement": 1, "ParseError": 2, "UnknownLabel": 2,
+    "DuplicateLabel": 2, "InvalidRational": 2, "DualityViolation": 1,
+    "NotAnAutomorphism": 1, "InconsistencyError": 1, "OutOfRange": 2,
+    "NotPrime": 2, "TooLarge": 2,
+}
+ERROR_CLASSES = [
+    cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(cls, errors.GcrankError)
+]
+
+
+def test_every_error_class_has_a_documented_exit_code():
+    assert sorted(c.__name__ for c in ERROR_CLASSES) == sorted(EXIT_CODES)
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES + [OSError], ids=lambda c: c.__name__)
+def test_main_exits_with_the_error_class_code(capsys, monkeypatch, cls):
+    def fail(args):
+        raise cls.__new__(cls)
+
+    monkeypatch.setattr(cli, "cmd_poly", fail)
+    assert main(["poly", "--n", "3"]) == EXIT_CODES.get(cls.__name__, 2)
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_import_loads_no_numpy():
+    src = Path(gcrank.__file__).resolve().parents[1]
+    subprocess.run(
+        [sys.executable, "-c",
+         "import gcrank.cli, sys; assert 'numpy' not in sys.modules"],
+        env={"PYTHONPATH": str(src)}, check=True, timeout=60,
+    )
 
 
 class TestPoly:

@@ -132,6 +132,15 @@ class TestCycleNotation:
     def test_format_parse_round_trip(self, p):
         assert parse_cycles(format_cycles(p), p.degree) == p
 
+    @given(any_permutation(), st.data())
+    def test_labelled_round_trip(self, p, data):
+        # labels are cycle-notation tokens: no whitespace, no parentheses
+        token = st.text("ab1*_σψ", min_size=1, max_size=4)
+        labels = data.draw(
+            st.lists(token, min_size=p.degree, max_size=p.degree, unique=True)
+        )
+        assert parse_cycles(format_cycles(p, labels), p.degree, labels.index) == p
+
 
 class TestGenerateGroup:
     def test_s3_from_transposition_and_cycle(self):

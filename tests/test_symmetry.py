@@ -6,7 +6,7 @@ import pytest
 import gcrank
 from gcrank import wreath
 from gcrank.errors import DegreeMismatch, NotAnAutomorphism, ParseError
-from gcrank.perms import Permutation, compose, identity
+from gcrank.perms import Permutation, compose, format_cycles, identity
 from gcrank.symmetry import (
     build_symmetry,
     load_symmetry,
@@ -122,5 +122,6 @@ class TestSymmetryFiles:
             build_symmetry(mtc, gens)
 
     def test_label_cycles_rendering(self, toric_swap):
-        strs = {toric_swap.label_cycles(e) for e in toric_swap.group.elements}
+        labels = toric_swap.mtc.labels
+        strs = {format_cycles(e, labels) for e in toric_swap.group.elements}
         assert strs == {"()", "(e m)"}

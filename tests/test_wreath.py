@@ -13,7 +13,6 @@ from gcrank.wreath import (
     CycleType,
     brute_force_wreath_rank,
     cycle_type_of,
-    evaluate,
     partitions,
     preset_generators,
     preset_group,
@@ -136,12 +135,12 @@ class TestRankPolynomial:
 
     @pytest.mark.parametrize("n", [1, 3, 7, 15])
     def test_value_at_one_is_group_order(self, n):
-        assert evaluate(rank_polynomial_symmetric(n), 1) == math.factorial(n)
+        assert rank_polynomial_symmetric(n).evaluate(1) == math.factorial(n)
 
     def test_s4_evaluations(self):
         poly = rank_polynomial_symmetric(4)
-        assert evaluate(poly, 3) == 360
-        assert evaluate(poly, 2) == 120
+        assert poly.evaluate(3) == 360
+        assert poly.evaluate(2) == 120
 
     def test_horner_matches_naive(self):
         poly = rank_polynomial_symmetric(8)
@@ -182,7 +181,7 @@ class TestWreathSubgroup:
         total, terms = rank_wreath_subgroup(3, preset_group("s3", 3))
         assert total == 60
         assert sorted(t.contribution for t in terms) == [6, 27, 27]
-        assert total == evaluate(rank_polynomial_symmetric(3), 3)
+        assert total == rank_polynomial_symmetric(3).evaluate(3)
 
     def test_trivial_group(self):
         group = perms.generate_group(4, {})
