@@ -84,22 +84,37 @@ def derive_duals(
     return tuple(duals)
 
 
-def parse_mtc(source: str | bytes) -> ModularData:
-    """Parse the JSON file format into a ModularData.
-
-    Duals are derived from the fusion coefficients when the file omits them.
-    """
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
+def decode_json(source: str | bytes):
+    """The JSON value of a data file; undecodable input is a ParseError."""
     try:
-        doc = json.loads(source)
+        if isinstance(source, bytes):
+            source = source.decode("utf-8")
+        return json.loads(source)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} col {exc.colno}: {exc.msg}") from None
+
+
+def parse_mtc(source: str | bytes) -> ModularData:
+    """Parse the JSON file format into a ModularData."""
+    return mtc_from_doc(decode_json(source))
+
+
+def mtc_from_doc(doc) -> ModularData:
+    """A ModularData from a decoded MTC document.
+
+    Duals are derived from the fusion coefficients when the document omits them.
+    """
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     for key in ("name", "labels", "unit", "fusion", "twists"):
         if key not in doc:
             raise ParseError(f"missing required field {key!r}")
+    if not isinstance(doc["fusion"], list):
+        raise ParseError('"fusion" must be an array of [x, y, z, n] entries')
+    if not isinstance(doc["twists"], dict) or not isinstance(doc.get("duals", {}), dict):
+        raise ParseError('"twists" and "duals" must be objects keyed by label')
 
     labels = doc["labels"]
     if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
@@ -110,7 +125,7 @@ def parse_mtc(source: str | bytes) -> ModularData:
     index = {l: i for i, l in enumerate(labels)}
 
     def lookup(label) -> int:
-        if label not in index:
+        if not isinstance(label, str) or label not in index:
             raise UnknownLabel(f"unknown label {label!r}")
         return index[label]
 
@@ -121,7 +136,7 @@ def parse_mtc(source: str | bytes) -> ModularData:
         if not (isinstance(entry, list) and len(entry) == 4):
             raise ParseError(f"fusion entry must be [x, y, z, n], got {entry!r}")
         x, y, z, mult = entry
-        if not isinstance(mult, int) or mult < 1:
+        if type(mult) is not int or mult < 1:
             raise ParseError(f"fusion multiplicity must be a positive integer, got {mult!r}")
         key = (lookup(x), lookup(y), lookup(z))
         if key in fusion:
@@ -139,7 +154,7 @@ def parse_mtc(source: str | bytes) -> ModularData:
     for label in labels:
         pair = twists_doc[label]
         if not (isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(v, int) for v in pair)):
+                and all(type(v) is int for v in pair)):
             raise ParseError(f"twist of {label!r} must be [numerator, denominator]")
         num, den = pair
         if den == 0:

@@ -9,7 +9,6 @@ computed for a *purported* global symmetry.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +19,8 @@ from .errors import (
     NotAnAutomorphism,
     ParseError,
 )
-from .mtc import ModularData, ValidationReport, Violation, load_mtc, parse_mtc
+from .mtc import ModularData, ValidationReport, Violation
+from .mtc import decode_json, load_mtc, mtc_from_doc
 from .perms import DEFAULT_GROUP_CAP, FiniteGroup, Permutation
 
 
@@ -113,7 +113,10 @@ def parse_generator(m: ModularData, spec) -> Permutation:
             raise ParseError(
                 f"generator image list has {len(spec)} entries, expected {m.rank}"
             )
-        return Permutation(tuple(m.label_index(l) for l in spec))
+        images = tuple(m.label_index(l) for l in spec)
+        if len(set(images)) != len(images):
+            raise ParseError(f"generator image list {spec!r} repeats a label")
+        return Permutation(images)
     raise ParseError(f"generator must be a string or a list, got {spec!r}")
 
 
@@ -126,12 +129,9 @@ def load_symmetry(
     document) is used unless an explicit ModularData is supplied.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_bytes().decode("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno} col {exc.colno}: {exc.msg}") from None
-    if not isinstance(doc, dict) or "generators" not in doc:
-        raise ParseError('symmetry file must be an object with a "generators" field')
+    doc = decode_json(path.read_bytes())
+    if not isinstance(doc, dict) or not isinstance(doc.get("generators"), dict):
+        raise ParseError('symmetry file must be an object with a "generators" object')
     if mtc is None:
         if "mtc" not in doc:
             raise ParseError('symmetry file has no "mtc" field and none was supplied')
@@ -139,7 +139,7 @@ def load_symmetry(
         if isinstance(ref, str):
             mtc = load_mtc(path.parent / ref)
         else:
-            mtc = parse_mtc(json.dumps(ref))
+            mtc = mtc_from_doc(ref)
     generators = {
         name: parse_generator(mtc, spec) for name, spec in doc["generators"].items()
     }

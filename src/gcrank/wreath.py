@@ -12,9 +12,8 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from . import perms
 from .errors import NotPrime, OutOfRange, ParseError, TooLarge
@@ -32,6 +31,9 @@ class CycleType:
 
     n: int
     a: tuple[int, ...]
+    # the class size when the caller already knows it (``partitions`` carries
+    # it down its recursion); 0 means it is computed on demand
+    _class_size: int = field(default=0, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
         weighted = sum(map(operator.mul, itertools.count(1), self.a))
@@ -42,13 +44,14 @@ class CycleType:
     def num_cycles(self) -> int:
         return sum(self.a)
 
-    @cached_property
+    @property
     def class_size(self) -> int:
         """n! / prod_j j^(a_j) a_j!, exact."""
-        denom = 1
-        for j, aj in enumerate(self.a, start=1):
-            if aj:
-                denom *= j**aj * math.factorial(aj)
+        if self._class_size:
+            return self._class_size
+        denom = math.prod(
+            j**aj * math.factorial(aj) for j, aj in enumerate(self.a, 1) if aj
+        )
         size, rem = divmod(math.factorial(self.n), denom)
         assert rem == 0
         return size
@@ -58,59 +61,34 @@ class CycleType:
         return " ".join(parts) if parts else "-"
 
 
-def _integer_partitions(n: int):
-    """All partitions of n as descending part lists (Zoghbi-Stojmenovic ZS1).
-
-    Yields a shared buffer slice; consume each value before advancing."""
-    if n == 1:
-        yield [1]
-        return
-    x = [1] * n
-    x[0] = n
-    m = h = 1
-    yield x[:1]
-    while x[0] != 1:
-        if x[h - 1] == 2:
-            m += 1
-            x[h - 1] = 1
-            h -= 1
-        else:
-            r = x[h - 1] - 1
-            t = m - h + 1
-            x[h - 1] = r
-            while t >= r:
-                x[h] = r
-                h += 1
-                t -= r
-            if t == 0:
-                m = h
-            else:
-                m = h + 1
-                if t > 1:
-                    x[h] = t
-                    h += 1
-        yield x[:m]
+def _check_degree(n: int) -> None:
+    if not 1 <= n <= PARTITION_CAP:
+        raise OutOfRange(f"n must be in 1..{PARTITION_CAP}, got {n}")
 
 
 def partitions(n: int) -> list[CycleType]:
-    """All p(n) cycle types, in reverse-lexicographic order on a."""
-    if not 1 <= n <= PARTITION_CAP:
-        raise OutOfRange(f"n must be in 1..{PARTITION_CAP}, got {n}")
+    """All p(n) cycle types, in reverse-lexicographic order on a: a_1 from its
+    largest value down, then a_2, and so on.  A branch is taken only if what
+    is left is 0 or can be made of parts longer than j."""
+    _check_degree(n)
     fact_n = math.factorial(n)
+    a = [0] * n
     types = []
-    for part in _integer_partitions(n):
-        a = [0] * n
-        for j in part:
-            a[j - 1] += 1
-        ct = CycleType(n, tuple(a))
-        # seed the cached class_size from the part multiset; iterating all
-        # n slots of a per type dominates the p(n) ~ 10^5 runtime otherwise
-        denom = 1
-        for j in set(part):
-            denom *= j ** a[j - 1] * math.factorial(a[j - 1])
-        ct.__dict__["class_size"] = fact_n // denom
-        types.append(ct)
-    types.sort(key=lambda ct: ct.a, reverse=True)
+
+    def fill(j: int, rest: int, denom: int) -> None:
+        for aj in range(rest // j, -1, -1):
+            left = rest - j * aj
+            if 0 < left <= j:
+                continue
+            a[j - 1] = aj
+            d = denom * j**aj * math.factorial(aj) if aj else denom
+            if left:
+                fill(j + 1, left, d)
+            else:
+                types.append(CycleType(n, tuple(a), _class_size=fact_n // d))
+        a[j - 1] = 0
+
+    fill(1, n, 1)
     return types
 
 
@@ -153,10 +131,12 @@ class RankPolynomial:
 
 
 def rank_polynomial_symmetric(n: int) -> RankPolynomial:
-    """Coefficient of x^k is the number of elements of S_n with k cycles."""
-    coeffs = [0] * (n + 1)
-    for ct in partitions(n):
-        coeffs[ct.num_cycles] += ct.class_size
+    """Coefficient of x^k is the number of elements of S_n with k cycles,
+    the unsigned Stirling number c(n, k): c(m+1, k) = m c(m, k) + c(m, k-1)."""
+    _check_degree(n)
+    coeffs = [0, 1]
+    for m in range(1, n):
+        coeffs = [m * c + prev for c, prev in zip(coeffs + [0], [0] + coeffs)]
     return RankPolynomial(tuple(coeffs))
 
 

@@ -295,7 +295,49 @@ class TestPoly:
         code, _, err = run(capsys, "poly", "--n", "99")
         assert code == 2
 
+    def test_out_of_range_message(self, capsys):
+        code, out, err = run(capsys, "poly", "--n", "61")
+        assert (code, out, err) == (2, "", "error: n must be in 1..60, got 61\n")
+
     def test_json_coefficients(self, capsys):
         code, out, _ = run(capsys, "poly", "--n", "4", "--json")
         doc = json.loads(out)
         assert doc["coefficients"] == [[4, "1"], [3, "6"], [2, "11"], [1, "6"]]
+
+
+FIB_DOC = json.loads(Path(FIB).read_text())
+
+
+def _mtc_bytes(**changes) -> bytes:
+    return json.dumps({**FIB_DOC, **changes}).encode()
+
+
+def _sym_bytes(generators, mtc=FIB_DOC) -> bytes:
+    return json.dumps({"mtc": mtc, "generators": generators}).encode()
+
+
+# each document is loaded by "validate --mtc" (mtc) or "rank --sym" (sym)
+MALFORMED = {
+    "fusion-not-array": ("mtc", _mtc_bytes(fusion=5)),
+    "twists-not-object": ("mtc", _mtc_bytes(twists=[[0, 1], [2, 5]])),
+    "unit-not-label": ("mtc", _mtc_bytes(unit=["1"])),
+    "bool-multiplicity": (
+        "mtc", _mtc_bytes(fusion=[["1", "1", "1", True]] + FIB_DOC["fusion"][1:])),
+    "bool-twist": ("mtc", _mtc_bytes(twists={"1": [0, 1], "tau": [True, 5]})),
+    "mtc-not-utf8": ("mtc", b'{"name": "\xff"}'),
+    "generators-not-object": ("sym", _sym_bytes(["(1 tau)"])),
+    "image-list-repeats-label": ("sym", _sym_bytes({"g": ["tau", "tau"]})),
+    "inline-mtc-fusion-not-array": ("sym", _sym_bytes({}, {**FIB_DOC, "fusion": 5})),
+    "sym-not-utf8": ("sym", b'{"generators": "\xff"}'),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_malformed_document_is_parse_error(capsys, tmp_path, name):
+    kind, content = MALFORMED[name]
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    argv = ("validate", "--mtc") if kind == "mtc" else ("rank", "--sym")
+    code, _, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -1,8 +1,10 @@
 """Golden corpus: exit code and exact stdout of fixed CLI runs.
 
-The files under ``tests/golden/`` were recorded before the generator-based
-group engine replaced brute-force closure and conjugation, and pin the CLI
-output byte for byte across refactors of the engine.  To record them again
+The files under ``tests/golden/`` pin the CLI output byte for byte across
+refactors.  The group-engine cases were recorded before the generator-based
+engine replaced brute-force closure and conjugation; the ``poly`` and
+``s<n>`` cases before cycle types were generated in output order and the
+S_n polynomial was taken from the Stirling recurrence.  To record them again
 after an intended output change, run ``PYTHONPATH=src python
 tests/test_golden.py`` from the repository root and review the diff.
 """
@@ -31,6 +33,14 @@ CASES = {
     "rank_toric_swap": ["rank", "--sym", TORIC_SWAP, "--json"],
     "rank_toric_swap_by_class": ["rank", "--sym", TORIC_SWAP, "--by-class"],
     "burnside_toric_swap": ["burnside", "--sym", TORIC_SWAP, "--json"],
+    "poly_n30": ["poly", "--n", "30", "--json"],
+    "poly_n7_text": ["poly", "--n", "7"],
+    "poly_n61_out_of_range": ["poly", "--n", "61"],
+    "wreath_s12_n12": ["wreath", "--rk", "3", "--n", "12", "--group", "s12", "--json"],
+    "wreath_s7_n7_text": ["wreath", "--rk", "2", "--n", "7", "--group", "s7"],
+    "wreath_z7_closed_form": [
+        "wreath", "--rk", "3", "--n", "7", "--group", "z7", "--closed-form", "--json"
+    ],
 }
 
 

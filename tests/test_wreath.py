@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gcrank import perms, rank, wreath
+from gcrank.cli import main
 from gcrank.errors import NotPrime, OutOfRange, TooLarge
 from gcrank.perms import Permutation, parse_cycles
 from gcrank.wreath import (
@@ -31,6 +33,15 @@ def rising_factorial(n):
         scaled = [k * c for c in coeffs] + [0]  # k * p
         coeffs = [a + b for a, b in zip(shifted, scaled)]
     return tuple(coeffs)
+
+
+def partition_count(n):
+    """p(n) by the coin-change recurrence over part sizes."""
+    counts = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            counts[m] += counts[m - part]
+    return counts[n]
 
 
 def count_s_n_by_cycle_type(n):
@@ -66,6 +77,17 @@ class TestPartitions:
         types = [ct.a for ct in partitions(4)]
         assert types == sorted(types, reverse=True)
         assert types[0] == (4, 0, 0, 0)
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_order_count_and_class_sizes(self, n):
+        types = partitions(n)
+        assert all(x.a > y.a for x, y in zip(types, types[1:]))
+        assert len(types) == partition_count(n)
+        for ct in types:
+            denom = math.prod(
+                j**aj * math.factorial(aj) for j, aj in enumerate(ct.a, start=1)
+            )
+            assert divmod(math.factorial(n), denom) == (ct.class_size, 0)
 
     def test_out_of_range(self):
         for n in (0, -1, 61):
@@ -132,6 +154,29 @@ class TestRankPolynomial:
     @pytest.mark.parametrize("n", [1, 2, 5, 10, 20, 30])
     def test_equals_rising_factorial(self, n):
         assert rank_polynomial_symmetric(n).coefficients == rising_factorial(n)
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_equals_cycle_type_enumeration(self, n):
+        coeffs = [0] * (n + 1)
+        for ct in partitions(n):
+            coeffs[ct.num_cycles] += ct.class_size
+        assert rank_polynomial_symmetric(n).coefficients == tuple(coeffs)
+
+    def test_never_enumerates_cycle_types(self, monkeypatch, capsys):
+        def refuse(n):
+            raise AssertionError("partitions must not be called")
+
+        monkeypatch.setattr(wreath, "partitions", refuse)
+        assert rank_polynomial_symmetric(60).coefficients == rising_factorial(60)
+        assert main(["poly", "--n", "30", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        coeffs = rising_factorial(30)
+        assert doc["coefficients"] == [[k, str(coeffs[k])] for k in range(30, 0, -1)]
+
+    def test_out_of_range(self):
+        for n in (0, -1, 61):
+            with pytest.raises(OutOfRange):
+                rank_polynomial_symmetric(n)
 
     @pytest.mark.parametrize("n", [1, 3, 7, 15])
     def test_value_at_one_is_group_order(self, n):
