@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from json.encoder import encode_basestring
 
 from . import perms, rank, symmetry, wreath
-from .errors import GcrankError, ParseError
+from .errors import GcrankError, InconsistencyError, ParseError
 from .mtc import load_mtc, validate_mtc
 from .perms import DEFAULT_GROUP_CAP
 
@@ -143,28 +145,26 @@ def cmd_burnside(args) -> int:
     return 0
 
 
-def _wreath_json(total: int, terms, rk: int, n: int, group_spec: str, order: int):
-    return {
-        "rk": str(rk),
-        "n": n,
-        "group": group_spec,
-        "group_order": order,
-        "total_rank": str(total),
-        "per_class": [
-            {
-                "cycle_type": list(t.cycle_type.a),
-                "representative": (
-                    perms.format_cycles(t.representative)
-                    if t.representative is not None
-                    else str(t.cycle_type)
-                ),
-                "class_size": str(t.class_size),
-                "num_cycles": t.num_cycles,
-                "contribution": str(t.contribution),
-            }
-            for t in terms
-        ],
-    }
+def _write_wreath_json(total: int, terms, rk: int, n: int, spec: str, order: int):
+    """Write, one row at a time, the bytes of ``json.dumps(doc, indent=2,
+    ensure_ascii=False)`` for the wreath document (``terms`` is never empty:
+    the identity is a class)."""
+    write = sys.stdout.write
+    write(f'{{\n  "rk": "{rk}",\n  "n": {n},\n  "group": {encode_basestring(spec)},'
+          f'\n  "group_order": {order},\n  "total_rank": "{total}",\n  "per_class": [')
+    digit = [str(i) for i in range(n + 1)].__getitem__  # a_j <= n
+    entries = ",\n        ".join
+    sep = "\n"
+    for t in terms:
+        a = f"[\n        {entries(map(digit, t.a))}\n      ]" if t.a else "[]"
+        rep = (perms.format_cycles(t.representative) if t.representative is not None
+               else wreath.format_cycle_type(t.a))
+        write(f'{sep}    {{\n      "cycle_type": {a},\n      "representative": '
+              f'{encode_basestring(rep)},\n      "class_size": "{t.class_size}",'
+              f'\n      "num_cycles": {t.num_cycles},\n      "contribution": '
+              f'"{t.contribution}"\n    }}')
+        sep = ",\n"
+    write("\n  ]\n}\n")
 
 
 def cmd_wreath(args) -> int:
@@ -195,16 +195,18 @@ def cmd_wreath(args) -> int:
     if spec == f"s{n}":
         total, terms = wreath.rank_wreath_symmetric(rk, n)
         order = sum(t.class_size for t in terms)
+        if order != math.factorial(n):
+            raise InconsistencyError(f"class sizes of S_{n} sum to {order}, not {n}!")
     else:
         group = wreath.preset_group(args.group, n, cap=args.cap)
         total, terms = wreath.rank_wreath_subgroup(rk, group)
         order = group.order
     if args.json:
-        _print_json(_wreath_json(total, terms, rk, n, spec, order))
+        _write_wreath_json(total, terms, rk, n, spec, order)
     else:
         rows = [
             (
-                str(t.cycle_type),
+                wreath.format_cycle_type(t.a),
                 perms.format_cycles(t.representative)
                 if t.representative is not None else "-",
                 str(t.class_size),

@@ -14,6 +14,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import perms
 from .errors import NotPrime, OutOfRange, ParseError, TooLarge
@@ -25,20 +26,29 @@ PARTITION_CAP = 60
 BRUTE_FORCE_CAP = 10**7
 
 
+def format_cycle_type(a: tuple[int, ...]) -> str:
+    """Text such as "1^2 3^1" (a_j > 0 only); "-" for the empty type."""
+    parts = [f"{j}^{aj}" for j, aj in enumerate(a, start=1) if aj]
+    return " ".join(parts) if parts else "-"
+
+
+def _check_cycle_type(n: int, a: tuple[int, ...]) -> None:
+    if len(a) != n or sum(map(operator.mul, itertools.count(1), a)) != n:
+        raise OutOfRange(f"invalid cycle type {a} for n = {n}")
+
+
 @dataclass(frozen=True)
 class CycleType:
     """Cycle type a = (a_1, ..., a_n): a_j is the number of j-cycles."""
 
     n: int
     a: tuple[int, ...]
-    # the class size when the caller already knows it (``partitions`` carries
-    # it down its recursion); 0 means it is computed on demand
+    # the class size when the caller already knows it (``partitions`` takes
+    # it from ``_cycle_types``); 0 means it is computed on demand
     _class_size: int = field(default=0, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self):
-        weighted = sum(map(operator.mul, itertools.count(1), self.a))
-        if len(self.a) != self.n or weighted != self.n:
-            raise OutOfRange(f"invalid cycle type {self.a} for n = {self.n}")
+        _check_cycle_type(self.n, self.a)
 
     @property
     def num_cycles(self) -> int:
@@ -57,8 +67,7 @@ class CycleType:
         return size
 
     def __str__(self) -> str:
-        parts = [f"{j}^{aj}" for j, aj in enumerate(self.a, start=1) if aj]
-        return " ".join(parts) if parts else "-"
+        return format_cycle_type(self.a)
 
 
 def _check_degree(n: int) -> None:
@@ -66,10 +75,11 @@ def _check_degree(n: int) -> None:
         raise OutOfRange(f"n must be in 1..{PARTITION_CAP}, got {n}")
 
 
-def partitions(n: int) -> list[CycleType]:
-    """All p(n) cycle types, in reverse-lexicographic order on a: a_1 from its
-    largest value down, then a_2, and so on.  A branch is taken only if what
-    is left is 0 or can be made of parts longer than j."""
+def _cycle_types(n: int) -> list[tuple[tuple[int, ...], int]]:
+    """(a, class size) for all p(n) cycle types, in reverse-lexicographic
+    order on a: a_1 from its largest value down, then a_2, and so on.  A
+    branch is taken only if what is left is 0 or can be made of parts longer
+    than j."""
     _check_degree(n)
     fact_n = math.factorial(n)
     a = [0] * n
@@ -85,11 +95,17 @@ def partitions(n: int) -> list[CycleType]:
             if left:
                 fill(j + 1, left, d)
             else:
-                types.append(CycleType(n, tuple(a), _class_size=fact_n // d))
+                types.append((tuple(a), fact_n // d))
         a[j - 1] = 0
 
     fill(1, n, 1)
     return types
+
+
+def partitions(n: int) -> list[CycleType]:
+    """All p(n) cycle types with their class sizes, in the order of
+    ``_cycle_types``."""
+    return [CycleType(n, a, _class_size=size) for a, size in _cycle_types(n)]
 
 
 def cycle_type_of(p: Permutation) -> CycleType:
@@ -156,18 +172,15 @@ def rank_wreath_cyclic_prime(rk: int, n: int) -> int:
     return rk**n + (n - 1) * rk
 
 
-@dataclass(frozen=True)
-class ClassTerm:
-    """One conjugacy class's contribution to a wreath rank."""
+class ClassTerm(NamedTuple):
+    """One conjugacy class's contribution to a wreath rank; ``a`` is its
+    cycle type and ``representative`` is None for classes of S_n."""
 
-    cycle_type: CycleType
+    a: tuple[int, ...]
     representative: Permutation | None
     class_size: int
+    num_cycles: int
     contribution: int
-
-    @property
-    def num_cycles(self) -> int:
-        return self.cycle_type.num_cycles
 
 
 def rank_wreath_subgroup(
@@ -178,26 +191,20 @@ def rank_wreath_subgroup(
     for cls in perms.conjugacy_classes(group).classes:
         rep = group.elements[cls[0]]
         ct = cycle_type_of(rep)
-        terms.append(ClassTerm(
-            cycle_type=ct,
-            representative=rep,
-            class_size=len(cls),
-            contribution=len(cls) * rk**ct.num_cycles,
-        ))
+        c = ct.num_cycles
+        terms.append(ClassTerm(ct.a, rep, len(cls), c, len(cls) * rk**c))
     return sum(t.contribution for t in terms), terms
 
 
 def rank_wreath_symmetric(rk: int, n: int) -> tuple[int, list[ClassTerm]]:
     """Total rank of C wr S_n from cycle types; S_n is never materialized."""
-    terms = [
-        ClassTerm(
-            cycle_type=ct,
-            representative=None,
-            class_size=ct.class_size,
-            contribution=ct.class_size * rk**ct.num_cycles,
-        )
-        for ct in partitions(n)
-    ]
+    types = _cycle_types(n)  # checks n before the power table is sized
+    powers = [rk**k for k in range(n + 1)]
+    terms = []
+    for a, size in types:
+        _check_cycle_type(n, a)
+        c = sum(a)
+        terms.append(ClassTerm(a, None, size, c, size * powers[c]))
     return sum(t.contribution for t in terms), terms
 
 

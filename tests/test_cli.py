@@ -219,6 +219,19 @@ class TestWreath:
         assert len(doc["per_class"]) == 77
         assert doc["group_order"] == 479001600
 
+    def test_symmetric_order_checked_against_factorial(self, capsys, monkeypatch):
+        symmetric = cli.wreath.rank_wreath_symmetric
+
+        def without_identity(rk, n):
+            total, terms = symmetric(rk, n)
+            return total, terms[1:]
+
+        monkeypatch.setattr(cli.wreath, "rank_wreath_symmetric", without_identity)
+        code, out, err = run(capsys, "wreath", "--rk", "2", "--n", "4", "--group", "s4")
+        assert code == 1
+        assert out == ""
+        assert "class sizes of S_4 sum to 23, not 4!" in err
+
     def test_deterministic_json(self, capsys):
         _, first, _ = run(capsys, "wreath", "--rk", "3", "--n", "5", "--group", "s5", "--json")
         _, second, _ = run(capsys, "wreath", "--rk", "3", "--n", "5", "--group", "s5", "--json")

@@ -4,12 +4,16 @@ The files under ``tests/golden/`` pin the CLI output byte for byte across
 refactors.  The group-engine cases were recorded before the generator-based
 engine replaced brute-force closure and conjugation; the ``poly`` and
 ``s<n>`` cases before cycle types were generated in output order and the
-S_n polynomial was taken from the Stirling recurrence.  To record them again
-after an intended output change, run ``PYTHONPATH=src python
-tests/test_golden.py`` from the repository root and review the diff.
+S_n polynomial was taken from the Stirling recurrence.  The rk = 0 and
+129-bit rk cases, and the sha256 digest of the 3.2 MB n = 28 output, were
+recorded before ``wreath --json`` was written row by row instead of through
+``json.dumps(indent=2)``.  To record the files again after an intended
+output change, run ``PYTHONPATH=src python tests/test_golden.py`` from the
+repository root and review the diff; it prints the digests to pin.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -22,6 +26,8 @@ from gcrank.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 TORIC_SWAP = str(gcrank.bundled_data_path("toric_code_swap.json"))
 D12 = "(1 2 3 4 5 6 7 8 9 10 11 12),(2 12)(3 11)(4 10)(5 9)(6 8)"
+# one more than 2^128, so the ranks need more than 128 bits
+RK_129_BIT = str(2**128 + 1)
 # A_5 on points 1-5 times S_3 on points 6-8, with point 9 fixed
 A5_X_S3 = "(1 2 3),(1 2 3 4 5),(6 7),(6 7 8)"
 
@@ -41,6 +47,18 @@ CASES = {
     "wreath_z7_closed_form": [
         "wreath", "--rk", "3", "--n", "7", "--group", "z7", "--closed-form", "--json"
     ],
+    "wreath_s5_rk0": ["wreath", "--rk", "0", "--n", "5", "--group", "s5", "--json"],
+    "wreath_s9_rk129bit": [
+        "wreath", "--rk", RK_129_BIT, "--n", "9", "--group", "s9", "--json"
+    ],
+}
+
+# outputs too large to check in: exit code 0 and the sha256 of stdout
+DIGEST_CASES = {
+    "wreath_s28_rk129bit": (
+        ["wreath", "--rk", RK_129_BIT, "--n", "28", "--group", "s28", "--json"],
+        "edb64ba7683ece2c1949874715d01ae9fc489cd28be8495aea3818c36cefae81",
+    ),
 }
 
 
@@ -59,6 +77,14 @@ def test_golden(name):
     assert stdout == (GOLDEN / f"{name}.stdout").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(DIGEST_CASES))
+def test_golden_digest(name):
+    argv, digest = DIGEST_CASES[name]
+    code, stdout = run_case(argv)
+    assert code == 0
+    assert hashlib.sha256(stdout).hexdigest() == digest
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
@@ -66,3 +92,6 @@ if __name__ == "__main__":
         codes[name], stdout = run_case(argv)
         (GOLDEN / f"{name}.stdout").write_bytes(stdout)
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
+    for name, (argv, _) in sorted(DIGEST_CASES.items()):
+        _, stdout = run_case(argv)
+        print(name, hashlib.sha256(stdout).hexdigest())

@@ -1,0 +1,114 @@
+"""``wreath --json`` is written row by row; its bytes must equal those of
+``json.dumps(doc, indent=2, ensure_ascii=False)`` on the document the CLI
+built as a list of dicts before, which ``oracle_doc`` keeps as the oracle."""
+
+import contextlib
+import io
+import json
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import gcrank
+from gcrank import perms, wreath
+from gcrank.cli import main
+from gcrank.perms import Permutation
+
+ISING = str(gcrank.bundled_data_path("ising.json"))
+FIB = str(gcrank.bundled_data_path("fibonacci.json"))
+
+ranks = st.one_of(st.just(0), st.just(1), st.integers(0, 2**130))
+
+
+def oracle_doc(total, terms, rk, n, group_spec, order):
+    return {
+        "rk": str(rk),
+        "n": n,
+        "group": group_spec,
+        "group_order": order,
+        "total_rank": str(total),
+        "per_class": [
+            {
+                "cycle_type": list(t.a),
+                "representative": (
+                    perms.format_cycles(t.representative)
+                    if t.representative is not None
+                    else str(wreath.CycleType(n, t.a))
+                ),
+                "class_size": str(t.class_size),
+                "num_cycles": t.num_cycles,
+                "contribution": str(t.contribution),
+            }
+            for t in terms
+        ],
+    }
+
+
+def expected_stdout(rk, n, group):
+    spec = group.strip().lower()
+    if spec == f"s{n}":
+        total, terms = wreath.rank_wreath_symmetric(rk, n)
+        order = sum(t.class_size for t in terms)
+    else:
+        g = wreath.preset_group(group, n)
+        total, terms = wreath.rank_wreath_subgroup(rk, g)
+        order = g.order
+    doc = oracle_doc(total, terms, rk, n, spec, order)
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def cli_stdout(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["wreath", *argv, "--json"])
+    assert code == 0
+    return out.getvalue()
+
+
+def assert_writer_matches(rk, n, group):
+    got = cli_stdout("--rk", str(rk), "--n", str(n), "--group", group)
+    assert got == expected_stdout(rk, n, group)
+
+
+@given(n=st.integers(1, 12), rk=ranks)
+@settings(max_examples=40, deadline=None)
+def test_symmetric_rows(n, rk):
+    assert_writer_matches(rk, n, f"s{n}")
+
+
+@given(
+    kind=st.sampled_from("az"),
+    n_and_k=st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    rk=ranks,
+)
+@settings(max_examples=40, deadline=None)
+def test_presets(kind, n_and_k, rk):
+    n, k = n_and_k
+    assert_writer_matches(rk, n, f"{kind}{k}")
+
+
+generator_specs = st.integers(1, 7).flatmap(
+    lambda d: st.tuples(
+        st.just(d),
+        st.lists(st.permutations(range(d)), max_size=3).map(
+            lambda gens: ",".join(perms.format_cycles(Permutation(tuple(g))) for g in gens)
+        ),
+    )
+)
+
+
+@given(degree_and_spec=generator_specs, rk=ranks)
+@example(degree_and_spec=(0, ","), rk=2)  # degree 0: an empty cycle_type list
+@example(degree_and_spec=(3, " (1 2 3),(1 2) "), rk=5)  # spec is stripped
+@settings(max_examples=40, deadline=None)
+def test_explicit_generators(degree_and_spec, rk):
+    degree, spec = degree_and_spec
+    assert_writer_matches(rk, degree, spec)
+
+
+def test_mtc_route():
+    for path in (ISING, FIB):
+        rk = gcrank.load_mtc(path).rank
+        for n, group in ((4, "s4"), (5, "a5"), (6, "z6"), (4, "(1 2),(3 4)")):
+            got = cli_stdout("--mtc", path, "--n", str(n), "--group", group)
+            assert got == expected_stdout(rk, n, group)
