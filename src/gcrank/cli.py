@@ -153,12 +153,15 @@ def _write_wreath_json(total: int, terms, rk: int, n: int, spec: str, order: int
     write(f'{{\n  "rk": "{rk}",\n  "n": {n},\n  "group": {encode_basestring(spec)},'
           f'\n  "group_order": {order},\n  "total_rank": "{total}",\n  "per_class": [')
     digit = [str(i) for i in range(n + 1)].__getitem__  # a_j <= n
+    # rows without a representative (all of them, or none) show their cycle type
+    cycle_type = (wreath.cycle_type_formatter(n) if terms[0].representative is None
+                  else None)
     entries = ",\n        ".join
     sep = "\n"
     for t in terms:
         a = f"[\n        {entries(map(digit, t.a))}\n      ]" if t.a else "[]"
         rep = (perms.format_cycles(t.representative) if t.representative is not None
-               else wreath.format_cycle_type(t.a))
+               else cycle_type(t.a))
         write(f'{sep}    {{\n      "cycle_type": {a},\n      "representative": '
               f'{encode_basestring(rep)},\n      "class_size": "{t.class_size}",'
               f'\n      "num_cycles": {t.num_cycles},\n      "contribution": '
@@ -204,9 +207,10 @@ def cmd_wreath(args) -> int:
     if args.json:
         _write_wreath_json(total, terms, rk, n, spec, order)
     else:
+        cycle_type = wreath.cycle_type_formatter(n)
         rows = [
             (
-                wreath.format_cycle_type(t.a),
+                cycle_type(t.a),
                 perms.format_cycles(t.representative)
                 if t.representative is not None else "-",
                 str(t.class_size),

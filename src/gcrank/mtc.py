@@ -6,6 +6,19 @@ and S/T matrices are deliberately absent, so non-degeneracy of the
 braiding is an *unverified assumption* of every downstream computation.
 
 Twists are exact rationals r with 0 <= r < 1, meaning theta = exp(2*pi*i*r).
+
+``validate_mtc`` checks associativity on packed product vectors.  The
+product x⊗y = sum_u N_xy^u u is stored as the integer sum_u N_xy^u 2^(B u),
+one B-bit slot per label u, with B = (max N^2 * rank).bit_length().  Each
+side of (x⊗y)⊗z = x⊗(y⊗z) is then a sum of such integers with nonnegative
+coefficients: sum_w N_xy^w (w⊗z) on the left, sum_w N_yz^w (x⊗w) on the
+right.  A slot of either side adds at most rank terms of at most max N^2
+each, which is below 2^B, so no slot carries into the next: the two sides
+are equal as integers exactly when they are equal slot by slot.  Each side
+is computed once per distinct product vector (the left once per vector and
+z, the right once per x and vector), and only rows that differ are decoded
+into violations.  Multiplicities are nonnegative integers; the file format
+admits positive ones only.
 """
 
 from __future__ import annotations
@@ -226,36 +239,54 @@ def validate_mtc(m: ModularData) -> ValidationReport:
                     f"N_{{{lab[x]},1}}^{lab[y]} = {m.n(x, m.unit, y)}, expected {want}",
                 ))
 
-    # associativity, via the sparse support
-    by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    # associativity on packed product vectors (see the module docstring)
+    support: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for (x, y, z), mult in m.fusion.items():
-        by_pair.setdefault((x, y), []).append((z, mult))
+        support.setdefault((x, y), []).append((z, mult))
+    n_max = max(m.fusion.values(), default=0)
+    width = (n_max * n_max * m.rank).bit_length()
+    mask = (1 << width) - 1
+    packed = [[0] * m.rank for _ in rng]  # packed[x][y] is x⊗y
+    # each distinct product vector and its support; 0 stands for the
+    # products that have no support
+    terms_of = {0: []}
+    for (x, y), terms in support.items():
+        packed[x][y] = v = sum(mult << width * z for z, mult in terms)
+        terms_of.setdefault(v, terms)
+    vector_id = {v: i for i, v in enumerate(terms_of)}
+    product_id = [[vector_id[v] for v in row] for row in packed]
+    # each side once per distinct vector, as ids of interned sums:
+    # (x⊗y)⊗z is sum_w N_xy^w (w⊗z) and x⊗(y⊗z) is sum_w N_yz^w (x⊗w)
+    sums: dict[int, int] = {}
 
-    def product_sums(x: int, y: int, z: int) -> dict[int, int]:
-        # sum over w of N_{xy}^w N_{wz}^u, as a sparse map u -> value
-        out: dict[int, int] = {}
-        for w, nw in by_pair.get((x, y), ()):
-            for u, nu in by_pair.get((w, z), ()):
-                out[u] = out.get(u, 0) + nw * nu
-        return out
+    def side(row, terms) -> int:
+        v = sum(mult * row[w] for w, mult in terms)
+        return sums.setdefault(v, len(sums))
 
+    columns = list(zip(*packed))
+    left = [tuple(side(col, terms) for col in columns) for terms in terms_of.values()]
+    right = [[side(row, terms) for terms in terms_of.values()] for row in packed]
+    values = list(sums)
     for x in rng:
+        right_of = right[x].__getitem__
         for y in rng:
+            lhs = left[product_id[x][y]]
+            rhs = tuple(map(right_of, product_id[y]))
+            if lhs == rhs:
+                continue
             for z in rng:
-                lhs = product_sums(x, y, z)
-                rhs: dict[int, int] = {}
-                for w, nw in by_pair.get((y, z), ()):
-                    for u, nu in by_pair.get((x, w), ()):
-                        rhs[u] = rhs.get(u, 0) + nw * nu
-                if lhs != rhs:
-                    for u in sorted(set(lhs) | set(rhs)):
-                        l, r = lhs.get(u, 0), rhs.get(u, 0)
-                        if l != r:
-                            violations.append(Violation(
-                                "associativity", (x, y, z, u),
-                                f"(({lab[x]} {lab[y]}) {lab[z]} -> {lab[u]}) = {l} "
-                                f"but ({lab[x]} ({lab[y]} {lab[z]}) -> {lab[u]}) = {r}",
-                            ))
+                if lhs[z] == rhs[z]:
+                    continue
+                l_vec, r_vec = values[lhs[z]], values[rhs[z]]
+                for u in rng:
+                    l = l_vec >> width * u & mask
+                    r = r_vec >> width * u & mask
+                    if l != r:
+                        violations.append(Violation(
+                            "associativity", (x, y, z, u),
+                            f"(({lab[x]} {lab[y]}) {lab[z]} -> {lab[u]}) = {l} "
+                            f"but ({lab[x]} ({lab[y]} {lab[z]}) -> {lab[u]}) = {r}",
+                        ))
 
     # duality
     for x in rng:

@@ -60,21 +60,26 @@ def validate_automorphism(m: ModularData, p: Permutation) -> ValidationReport:
                 f"twist({lab[g[x]]!r}) = {m.twists[g[x]]}",
             ))
 
-    # N is preserved iff it agrees on the support in both directions;
-    # triples with N = 0 on both sides need no check.
-    ginv = perms.inverse(p).images
-    seen: set[tuple[int, int, int]] = set()
-    for (x, y, z) in m.fusion:
-        for (a, b, c) in ((x, y, z), (ginv[x], ginv[y], ginv[z])):
-            if (a, b, c) in seen:
-                continue
-            seen.add((a, b, c))
-            if m.n(g[a], g[b], g[c]) != m.n(a, b, c):
-                violations.append(Violation(
-                    "fusion", (a, b, c),
-                    f"N_{{{lab[a]},{lab[b]}}}^{lab[c]} = {m.n(a, b, c)} but "
-                    f"N_{{{lab[g[a]]},{lab[g[b]]}}}^{lab[g[c]]} = {m.n(g[a], g[b], g[c])}",
-                ))
+    # g preserves N exactly when moving every support triple by g gives N
+    # back; the triples are walked only when it does not, to list the
+    # violations
+    fusion = m.fusion
+    if {(g[x], g[y], g[z]): n for (x, y, z), n in fusion.items()} != fusion:
+        # N must agree on the support in both directions; triples with N = 0
+        # on both sides need no check
+        ginv = perms.inverse(p).images
+        seen: set[tuple[int, int, int]] = set()
+        for (x, y, z) in fusion:
+            for (a, b, c) in ((x, y, z), (ginv[x], ginv[y], ginv[z])):
+                if (a, b, c) in seen:
+                    continue
+                seen.add((a, b, c))
+                if m.n(g[a], g[b], g[c]) != m.n(a, b, c):
+                    violations.append(Violation(
+                        "fusion", (a, b, c),
+                        f"N_{{{lab[a]},{lab[b]}}}^{lab[c]} = {m.n(a, b, c)} but "
+                        f"N_{{{lab[g[a]]},{lab[g[b]]}}}^{lab[g[c]]} = {m.n(g[a], g[b], g[c])}",
+                    ))
 
     return ValidationReport(tuple(violations))
 

@@ -26,10 +26,14 @@ PARTITION_CAP = 60
 BRUTE_FORCE_CAP = 10**7
 
 
-def format_cycle_type(a: tuple[int, ...]) -> str:
-    """Text such as "1^2 3^1" (a_j > 0 only); "-" for the empty type."""
-    parts = [f"{j}^{aj}" for j, aj in enumerate(a, start=1) if aj]
-    return " ".join(parts) if parts else "-"
+def cycle_type_formatter(n: int):
+    """The text of a degree-n cycle type a, such as "1^2 3^1" (a_j > 0 only;
+    "-" for the empty type).  The "j^k" texts come from a table built once,
+    and a row picks its entries with ``itertools.compress``, without a
+    Python-level loop over its n entries."""
+    texts = [[f"{j}^{k}" for k in range(n // j + 1)] for j in range(1, n + 1)]
+    join, pick, compress = " ".join, list.__getitem__, itertools.compress
+    return lambda a: join(map(pick, compress(texts, a), compress(a, a))) or "-"
 
 
 def _check_cycle_type(n: int, a: tuple[int, ...]) -> None:
@@ -67,7 +71,7 @@ class CycleType:
         return size
 
     def __str__(self) -> str:
-        return format_cycle_type(self.a)
+        return cycle_type_formatter(self.n)(self.a)
 
 
 def _check_degree(n: int) -> None:

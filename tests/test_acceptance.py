@@ -193,3 +193,22 @@ def test_criterion_8_robustness(capsys, ising):
     with capsys.disabled():
         report_pass(8, "malformed fixtures yield designated errors; JSON output "
                        "byte-identical across runs")
+
+
+def test_criterion_9_validation_speed(ising):
+    power = wreath.materialize_power(ising, 4)
+    start = time.perf_counter()
+    report = gcrank.validate_mtc(power)
+    validate_elapsed = time.perf_counter() - start
+    assert report.ok, report.violations[:3]
+    assert validate_elapsed < 1, f"validate_mtc on Ising^4 took {validate_elapsed:.2f} s"
+
+    start = time.perf_counter()
+    power, s = wreath.symmetric_power_symmetry(ising, 4)
+    symmetry_elapsed = time.perf_counter() - start
+    assert power.rank == 81
+    assert s.group.order == 24
+    assert symmetry_elapsed < 1, \
+        f"symmetric_power_symmetry(Ising, 4) took {symmetry_elapsed:.2f} s"
+    report_pass(9, f"validate_mtc on Ising^4 (81 labels) in {validate_elapsed:.3f} s; "
+                   f"symmetric_power_symmetry(Ising, 4) in {symmetry_elapsed:.3f} s")

@@ -7,7 +7,9 @@ engine replaced brute-force closure and conjugation; the ``poly`` and
 S_n polynomial was taken from the Stirling recurrence.  The rk = 0 and
 129-bit rk cases, and the sha256 digest of the 3.2 MB n = 28 output, were
 recorded before ``wreath --json`` was written row by row instead of through
-``json.dumps(indent=2)``.  To record the files again after an intended
+``json.dumps(indent=2)``.  The ``validate`` cases were recorded before the
+associativity and automorphism checks compared packed product vectors
+instead of looping over every triple.  To record the files again after an intended
 output change, run ``PYTHONPATH=src python tests/test_golden.py`` from the
 repository root and review the diff; it prints the digests to pin.
 """
@@ -24,7 +26,12 @@ import gcrank
 from gcrank.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+FIXTURES = Path(__file__).parent / "fixtures"
+ISING = str(gcrank.bundled_data_path("ising.json"))
 TORIC_SWAP = str(gcrank.bundled_data_path("toric_code_swap.json"))
+# Ising^2 with N_{sigma*sigma, sigma*sigma}^{psi*psi} doubled: 36 associativity
+# violations
+ISING2_DOUBLED = str(FIXTURES / "ising2_doubled.json")
 D12 = "(1 2 3 4 5 6 7 8 9 10 11 12),(2 12)(3 11)(4 10)(5 9)(6 8)"
 # one more than 2^128, so the ranks need more than 128 bits
 RK_129_BIT = str(2**128 + 1)
@@ -50,6 +57,21 @@ CASES = {
     "wreath_s5_rk0": ["wreath", "--rk", "0", "--n", "5", "--group", "s5", "--json"],
     "wreath_s9_rk129bit": [
         "wreath", "--rk", RK_129_BIT, "--n", "9", "--group", "s9", "--json"
+    ],
+    "validate_non_associative": [
+        "validate", "--mtc", str(FIXTURES / "non_associative.json"), "--json"
+    ],
+    "validate_ising2_doubled": ["validate", "--mtc", ISING2_DOUBLED, "--json"],
+    "validate_ising2_doubled_text": ["validate", "--mtc", ISING2_DOUBLED],
+    # one generator passes, one breaks only fusion coefficients
+    "validate_ising2_generators": [
+        "validate", "--mtc", ISING2_DOUBLED,
+        "--sym", str(FIXTURES / "ising2_generators.json"), "--json",
+    ],
+    # "(1 psi)" moves the unit and breaks twists and fusion
+    "validate_ising_bad_generator": [
+        "validate", "--mtc", ISING, "--sym", str(FIXTURES / "bad_generator.json"),
+        "--json",
     ],
 }
 

@@ -1,11 +1,15 @@
+import dataclasses
 import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gcrank
+from gcrank import wreath
 from gcrank.errors import (
     DualityViolation,
     DuplicateLabel,
@@ -14,6 +18,8 @@ from gcrank.errors import (
     UnknownLabel,
 )
 from gcrank.mtc import (
+    ModularData,
+    Violation,
     derive_duals,
     load_mtc,
     parse_mtc,
@@ -36,6 +42,116 @@ def brute_force_associativity(m):
         if lhs != rhs:
             bad.append((x, y, z, u))
     return bad
+
+
+def reference_associativity(m):
+    """The associativity violations of ``validate_mtc`` by the per-triple
+    loop it used before products were packed: both sides as sparse maps
+    u -> value for every (x, y, z), in the same order and wording."""
+    lab = m.labels
+    by_pair = {}
+    for (x, y, z), mult in m.fusion.items():
+        by_pair.setdefault((x, y), []).append((z, mult))
+
+    def side(outer, inner):
+        out = {}
+        for w, nw in by_pair.get(outer, ()):
+            for u, nu in by_pair.get(inner(w), ()):
+                out[u] = out.get(u, 0) + nw * nu
+        return out
+
+    violations = []
+    for x, y, z in itertools.product(range(m.rank), repeat=3):
+        lhs = side((x, y), lambda w: (w, z))
+        rhs = side((y, z), lambda w: (x, w))
+        for u in sorted(set(lhs) | set(rhs)):
+            l, r = lhs.get(u, 0), rhs.get(u, 0)
+            if l != r:
+                violations.append(Violation(
+                    "associativity", (x, y, z, u),
+                    f"(({lab[x]} {lab[y]}) {lab[z]} -> {lab[u]}) = {l} "
+                    f"but ({lab[x]} ({lab[y]} {lab[z]}) -> {lab[u]}) = {r}",
+                ))
+    return violations
+
+
+def su2_level(k):
+    """SU(2)_k: spins 0..k/2 as labels "0".."k", truncated Clebsch-Gordan
+    fusion, all self-dual, twists h_j = j(j+2)/4(k+2) mod 1."""
+    fusion = {
+        (a, b, c): 1
+        for a, b, c in itertools.product(range(k + 1), repeat=3)
+        if abs(a - b) <= c <= min(a + b, 2 * k - a - b) and (a + b + c) % 2 == 0
+    }
+    return ModularData(
+        name=f"SU(2)_{k}",
+        labels=tuple(str(j) for j in range(k + 1)),
+        unit=0,
+        fusion=fusion,
+        dual=tuple(range(k + 1)),
+        twists=tuple(Fraction(j * (j + 2), 4 * (k + 2)) % 1 for j in range(k + 1)),
+    )
+
+
+def constant_ring(rank, mult):
+    """Every N_xy^z = mult: associative, and each slot of both sides holds
+    rank * mult^2, the largest value the packed slot width allows for."""
+    fusion = {t: mult for t in itertools.product(range(rank), repeat=3)}
+    return ModularData(
+        name=f"constant-{mult}", labels=tuple(f"a{i}" for i in range(rank)),
+        unit=0, fusion=fusion, dual=tuple(range(rank)),
+        twists=(Fraction(0),) * rank,
+    )
+
+
+def random_ring(rank, top, seed):
+    """Random multiplicities in 1..top on a random support: non-associative."""
+    rng = random.Random(seed)
+    fusion = {
+        t: rng.randint(1, top)
+        for t in itertools.product(range(rank), repeat=3) if rng.random() < 0.6
+    }
+    return dataclasses.replace(constant_ring(rank, 1), name=f"random-{top}",
+                               fusion=fusion)
+
+
+def _bundled(name):
+    return gcrank.load_mtc(gcrank.bundled_data_path(f"{name}.json"))
+
+
+ASSOCIATIVITY_RINGS = (
+    [_bundled(name) for name in ("fibonacci", "ising", "toric_code")]
+    + [load_mtc(fixture_path(name))
+       for name in ("non_associative.json", "ising2_doubled.json")]
+    + [wreath.materialize_power(_bundled("ising"), n) for n in (2, 3)]
+    + [wreath.materialize_power(_bundled("fibonacci"), n) for n in (2, 3, 4)]
+    + [su2_level(k) for k in range(1, 13)]
+    + [constant_ring(4, 10**6), random_ring(5, 10**6, seed=3)]
+)
+
+
+@st.composite
+def edited_rings(draw):
+    """A ring from ASSOCIATIVITY_RINGS with one fusion entry doubled,
+    removed or added, or left as it is."""
+    m = draw(st.sampled_from(ASSOCIATIVITY_RINGS))
+    fusion = dict(m.fusion)
+    edit = draw(st.sampled_from(["none", "double", "remove", "add"]))
+    if edit in ("double", "remove"):
+        key = draw(st.sampled_from(sorted(fusion)))
+        if edit == "double":
+            fusion[key] *= 2
+        else:
+            del fusion[key]
+    elif edit == "add":
+        label = st.integers(0, m.rank - 1)
+        key = draw(st.tuples(label, label, label))
+        fusion[key] = fusion.get(key, 0) + draw(st.sampled_from([1, 2, 10**6]))
+    return dataclasses.replace(m, fusion=fusion)
+
+
+def associativity_violations(m):
+    return [v for v in validate_mtc(m).violations if v.rule == "associativity"]
 
 
 class TestParse:
@@ -97,6 +213,26 @@ class TestValidate:
     def test_associativity_agrees_with_brute_force(self, ising, toric_code):
         for m in (ising, toric_code):
             assert brute_force_associativity(m) == []
+
+    @pytest.mark.parametrize("m", ASSOCIATIVITY_RINGS, ids=lambda m: m.name)
+    def test_associativity_equals_reference(self, m):
+        assert associativity_violations(m) == reference_associativity(m)
+
+    @given(edited_rings())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_edited_associativity_equals_reference(self, m):
+        assert associativity_violations(m) == reference_associativity(m)
+
+    def test_violations_at_the_slot_width_bound(self):
+        # one entry lowered by 1 in the constant ring: the sides differ in
+        # slots that sit at rank * N^2 and just below
+        m = constant_ring(4, 10**6)
+        m = dataclasses.replace(m, fusion={**m.fusion, (1, 2, 3): 10**6 - 1})
+        found = associativity_violations(m)
+        assert found == reference_associativity(m)
+        assert found and all(v.rule == "associativity" for v in found)
+        assert max(int(w) for v in found for w in v.message.split() if w.isdigit()) \
+            == 4 * 10**12
 
     def test_unit_law_violation(self, fibonacci):
         doc = json.loads(gcrank.bundled_data_path("fibonacci.json").read_text())

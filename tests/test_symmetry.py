@@ -1,11 +1,15 @@
+import dataclasses
 import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gcrank
-from gcrank import wreath
+from gcrank import perms, symmetry, wreath
 from gcrank.errors import DegreeMismatch, NotAnAutomorphism, ParseError
+from gcrank.mtc import Violation
 from gcrank.perms import Permutation, compose, format_cycles, identity
 from gcrank.symmetry import (
     build_symmetry,
@@ -15,6 +19,94 @@ from gcrank.symmetry import (
 )
 
 from conftest import fixture_path
+
+
+def reference_automorphism(m, p):
+    """The violations of ``validate_automorphism`` by the loop it used before
+    the whole-map test: every support triple and its preimage, in order."""
+    lab, g = m.labels, p.images
+    violations = []
+    if g[m.unit] != m.unit:
+        violations.append(Violation(
+            "unit", (m.unit,), f"unit maps to {lab[g[m.unit]]!r}, must be fixed"))
+    for x in range(m.rank):
+        if g[m.dual[x]] != m.dual[g[x]]:
+            violations.append(Violation(
+                "dual", (x,),
+                f"dual of {lab[x]!r}: image of dual is {lab[g[m.dual[x]]]!r} "
+                f"but dual of image is {lab[m.dual[g[x]]]!r}",
+            ))
+        if m.twists[g[x]] != m.twists[x]:
+            violations.append(Violation(
+                "twist", (x,),
+                f"twist({lab[x]!r}) = {m.twists[x]} but "
+                f"twist({lab[g[x]]!r}) = {m.twists[g[x]]}",
+            ))
+    ginv = perms.inverse(p).images
+    seen = set()
+    for (x, y, z) in m.fusion:
+        for (a, b, c) in ((x, y, z), (ginv[x], ginv[y], ginv[z])):
+            if (a, b, c) in seen:
+                continue
+            seen.add((a, b, c))
+            if m.n(g[a], g[b], g[c]) != m.n(a, b, c):
+                violations.append(Violation(
+                    "fusion", (a, b, c),
+                    f"N_{{{lab[a]},{lab[b]}}}^{lab[c]} = {m.n(a, b, c)} but "
+                    f"N_{{{lab[g[a]]},{lab[g[b]]}}}^{lab[g[c]]} = {m.n(g[a], g[b], g[c])}",
+                ))
+    return violations
+
+
+def _power_automorphisms(name, n, first_factor=None):
+    """C^n and the group generated by the factor permutations and, if given,
+    an automorphism of C (cycle notation) acting on the first factor."""
+    base = gcrank.load_mtc(gcrank.bundled_data_path(f"{name}.json"))
+    power = wreath.materialize_power(base, n)
+    gens = {
+        k: wreath.factor_permutation(base, n, p)
+        for k, p in wreath.preset_generators(f"s{n}", n).items()
+    }
+    if first_factor:
+        moved = parse_generator(base, first_factor).images
+        tuples = list(itertools.product(range(base.rank), repeat=n))
+        index = {t: i for i, t in enumerate(tuples)}
+        gens["first"] = Permutation(
+            tuple(index[(moved[t[0]],) + t[1:]] for t in tuples))
+    return power, perms.generate_group(power.rank, gens).elements
+
+
+def _doubled(m, automorphisms, entry):
+    """m with the fusion entry at the given labels doubled: the automorphisms
+    of m that move it keep the support of N but not its values."""
+    key = tuple(map(m.label_index, entry))
+    doubled = dataclasses.replace(m, fusion={**m.fusion, key: 2 * m.fusion[key]})
+    return doubled, automorphisms
+
+
+# ising^3 under S_3, and toric_code^2 under S_2 and the e-m swap on each factor
+AUTOMORPHISM_CASES = [
+    _power_automorphisms("ising", 3),
+    _power_automorphisms("toric_code", 2, "(e m)"),
+]
+DOUBLED_TORIC = _doubled(*AUTOMORPHISM_CASES[1], ("e*1", "e*1", "1*1"))
+
+
+@st.composite
+def labelled_permutations(draw):
+    """A power of a bundled MTC with an automorphism, a random label
+    permutation, or an automorphism with two labels exchanged afterwards."""
+    m, automorphisms = draw(st.sampled_from(AUTOMORPHISM_CASES + [DOUBLED_TORIC]))
+    kind = draw(st.sampled_from(["automorphism", "random", "near-miss"]))
+    if kind == "random":
+        images = draw(st.permutations(range(m.rank)))
+    else:
+        images = list(draw(st.sampled_from(automorphisms)).images)
+        if kind == "near-miss":
+            i = draw(st.integers(0, m.rank - 1))
+            j = draw(st.integers(0, m.rank - 1))
+            images[i], images[j] = images[j], images[i]
+    return m, Permutation(tuple(images))
 
 
 class TestValidateAutomorphism:
@@ -54,6 +146,30 @@ class TestValidateAutomorphism:
         with pytest.raises(DegreeMismatch):
             validate_automorphism(ising, identity(5))
 
+    @pytest.mark.parametrize("case", range(len(AUTOMORPHISM_CASES)))
+    def test_whole_groups_pass(self, case):
+        m, automorphisms = AUTOMORPHISM_CASES[case]
+        assert len(automorphisms) == (6, 8)[case]
+        for p in automorphisms:
+            assert validate_automorphism(m, p).violations == ()
+            assert reference_automorphism(m, p) == []
+
+    def test_values_checked_not_only_the_support(self):
+        m, automorphisms = DOUBLED_TORIC
+        rules = []
+        for p in automorphisms:
+            violations = validate_automorphism(m, p).violations
+            assert list(violations) == reference_automorphism(m, p)
+            rules.append({v.rule for v in violations})
+        assert rules.count(set()) == 2 and rules.count({"fusion"}) == 6
+
+    @given(labelled_permutations())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_violations_equal_reference(self, case):
+        m, p = case
+        assert list(validate_automorphism(m, p).violations) == \
+            reference_automorphism(m, p)
+
 
 class TestBuildSymmetry:
     def test_toric_swap_group_order_two(self, toric_swap):
@@ -70,6 +186,21 @@ class TestBuildSymmetry:
             if validate_automorphism(fibonacci, Permutation(im)).ok
         ]
         assert passing == [identity(2)]
+
+    def test_every_element_revalidated(self, ising, monkeypatch):
+        calls = []
+        original = symmetry.validate_automorphism
+
+        def spy(m, p):
+            calls.append(p)
+            return original(m, p)
+
+        monkeypatch.setattr(symmetry, "validate_automorphism", spy)
+        power, s = wreath.symmetric_power_symmetry(ising, 4)
+        generators = wreath.preset_generators("s4", 4)
+        assert s.group.order == 24
+        assert len(calls) == len(generators) + s.group.order
+        assert set(calls[len(generators):]) == set(s.group.elements)
 
     def test_bad_generator_rejected(self, ising):
         with pytest.raises(NotAnAutomorphism):

@@ -98,6 +98,15 @@ class TestPartitions:
         with pytest.raises(OutOfRange):
             CycleType(4, (1, 0, 0, 1))
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 20])
+    def test_text_equals_loop_over_entries(self, n):
+        # the formatter's table lookup against a plain loop over all n entries
+        text = wreath.cycle_type_formatter(n)
+        for ct in partitions(n):
+            loop = " ".join(f"{j}^{aj}" for j, aj in enumerate(ct.a, start=1) if aj)
+            assert text(ct.a) == str(ct) == loop
+        assert wreath.cycle_type_formatter(0)(()) == "-"
+
     def test_class_size_division_exact(self):
         # exactness is asserted inside class_size; exercise a spread of n
         for n in (13, 29, 41):
