@@ -7,18 +7,19 @@ braiding is an *unverified assumption* of every downstream computation.
 
 Twists are exact rationals r with 0 <= r < 1, meaning theta = exp(2*pi*i*r).
 
-``validate_mtc`` checks associativity on packed product vectors.  The
-product x⊗y = sum_u N_xy^u u is stored as the integer sum_u N_xy^u 2^(B u),
-one B-bit slot per label u, with B = (max N^2 * rank).bit_length().  Each
-side of (x⊗y)⊗z = x⊗(y⊗z) is then a sum of such integers with nonnegative
-coefficients: sum_w N_xy^w (w⊗z) on the left, sum_w N_yz^w (x⊗w) on the
-right.  A slot of either side adds at most rank terms of at most max N^2
-each, which is below 2^B, so no slot carries into the next: the two sides
-are equal as integers exactly when they are equal slot by slot.  Each side
-is computed once per distinct product vector (the left once per vector and
-z, the right once per x and vector), and only rows that differ are decoded
-into violations.  Multiplicities are nonnegative integers; the file format
-admits positive ones only.
+``ModularData.product_table`` stores each product x⊗y = sum_u N_xy^u u as the
+integer sum_u N_xy^u 2^(B u), one B-bit slot per label u, with
+B = (max N^2 * rank).bit_length(), and interns these vectors to small ids.
+``validate_mtc`` checks associativity on them: (x⊗y)⊗z is sum_w N_xy^w (w⊗z)
+and x⊗(y⊗z) is sum_w N_yz^w (x⊗w).  A slot of either side adds at most rank
+terms of at most max N^2 each, which is below 2^B, so no slot carries into
+the next: the sides are equal as integers exactly when they are equal slot
+by slot.  Each side is computed once per distinct vector, and only rows that
+differ are decoded into violations.  A label permutation g preserves N
+exactly when sigma_g(x⊗y) = (g x)⊗(g y) for every pair, where sigma_g moves
+slot u to slot g(u): each slot holds one N < 2^B and sigma_g moves whole
+slots, so the integers are equal exactly when the slots are.
+Multiplicities are nonnegative; the file format admits positive ones only.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
+from operator import mul
 from pathlib import Path
 
 from .errors import (
@@ -54,6 +58,26 @@ class ModularData:
         """Fusion coefficient N_{xy}^z; absent triples are 0."""
         return self.fusion.get((x, y, z), 0)
 
+    @cached_property
+    def product_table(self) -> tuple:
+        """(product_id, vector_id, terms, B): the id of each x⊗y, each vector's id,
+        the (slots u, values N) of each id.  ``fusion`` must not change after."""
+        width = (max(self.fusion.values(), default=0) ** 2 * self.rank).bit_length()
+        packed = [[0] * self.rank for _ in self.labels]
+        for (x, y, z), mult in self.fusion.items():
+            packed[x][y] += mult << width * z
+        vector_id = {v: i for i, v in enumerate(dict.fromkeys(chain.from_iterable(packed)))}
+        mask = (1 << width) - 1
+        terms = []
+        for v in vector_id:
+            slots = []
+            while v > 0:  # pop the lowest nonzero slot (> 0, not != 0: stops on N < 0 too)
+                z = ((v & -v).bit_length() - 1) // width
+                slots.append((z, v >> width * z & mask))
+                v &= ~(mask << width * z)
+            terms.append(tuple(zip(*slots)) or ((), ()))
+        return [list(map(vector_id.__getitem__, row)) for row in packed], vector_id, terms, width
+
     def label_index(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -80,20 +104,19 @@ class ValidationReport:
 def derive_duals(
     labels: tuple[str, ...], unit: int, fusion: dict[tuple[int, int, int], int]
 ) -> tuple[int, ...]:
-    """dual(x) is the unique y with N_{x,y}^unit = 1."""
+    """dual(x) is the unique y with N_{x,y}^unit = 1 (fusion holds positive N only)."""
+    candidates: list[list[int]] = [[] for _ in labels]
+    for x, y, z in fusion:
+        if z == unit:
+            candidates[x].append(y)
     duals = []
-    for x in range(len(labels)):
-        candidates = [
-            y
-            for y in range(len(labels))
-            if fusion.get((x, y, unit), 0) > 0
-        ]
-        if len(candidates) != 1 or fusion[(x, candidates[0], unit)] != 1:
+    for x, ys in enumerate(map(sorted, candidates)):
+        if len(ys) != 1 or fusion[(x, ys[0], unit)] != 1:
             raise DualityViolation(
                 f"label {labels[x]!r} has no unique dual: "
-                f"candidates {[labels[y] for y in candidates]}"
+                f"candidates {[labels[y] for y in ys]}"
             )
-        duals.append(candidates[0])
+        duals.append(ys[0])
     return tuple(duals)
 
 
@@ -144,17 +167,26 @@ def mtc_from_doc(doc) -> ModularData:
 
     unit = lookup(doc["unit"])
 
-    fusion: dict[tuple[int, int, int], int] = {}
-    for entry in doc["fusion"]:
-        if not (isinstance(entry, list) and len(entry) == 4):
-            raise ParseError(f"fusion entry must be [x, y, z, n], got {entry!r}")
-        x, y, z, mult = entry
-        if type(mult) is not int or mult < 1:
-            raise ParseError(f"fusion multiplicity must be a positive integer, got {mult!r}")
-        key = (lookup(x), lookup(y), lookup(z))
-        if key in fusion:
-            raise ParseError(f"duplicate fusion entry for ({x}, {y}, {z})")
-        fusion[key] = mult
+    entries = doc["fusion"]
+    try:  # the map in one pass, checked whole; on any fault the loop below reports the first
+        fusion = {(index[x], index[y], index[z]): n for x, y, z, n in entries}
+        # an entry that unpacks but is not a list (a str or dict) has a str as n
+        well_formed = (len(fusion) == len(entries) and set(map(type, fusion.values())) <= {int}
+                       and min(fusion.values(), default=1) > 0)
+    except (KeyError, TypeError, ValueError):  # an unknown label, or not [x, y, z, n]
+        well_formed = False
+    if not well_formed:
+        fusion = {}
+        for entry in entries:
+            if not (isinstance(entry, list) and len(entry) == 4):
+                raise ParseError(f"fusion entry must be [x, y, z, n], got {entry!r}")
+            x, y, z, mult = entry
+            if type(mult) is not int or mult < 1:
+                raise ParseError(f"fusion multiplicity must be a positive integer, got {mult!r}")
+            key = (lookup(x), lookup(y), lookup(z))
+            if key in fusion:
+                raise ParseError(f"duplicate fusion entry for ({x}, {y}, {z})")
+            fusion[key] = mult
 
     twists_doc = doc["twists"]
     if set(twists_doc) != set(labels):
@@ -223,49 +255,39 @@ def validate_mtc(m: ModularData) -> ValidationReport:
     violations: list[Violation] = []
     rng = range(m.rank)
     lab = m.labels
+    n = m.fusion.get  # not the method ModularData.n: 3 rank^2 reads below
+    product_id, vector_id, terms_of, width = m.product_table
+    mask = (1 << width) - 1
+    vectors = list(vector_id)
 
     # unit laws
     for x in rng:
         for y in rng:
             want = 1 if x == y else 0
-            if m.n(m.unit, x, y) != want:
+            if n((m.unit, x, y), 0) != want:
                 violations.append(Violation(
                     "unit-law", (m.unit, x, y),
-                    f"N_{{1,{lab[x]}}}^{lab[y]} = {m.n(m.unit, x, y)}, expected {want}",
+                    f"N_{{1,{lab[x]}}}^{lab[y]} = {n((m.unit, x, y), 0)}, expected {want}",
                 ))
-            if m.n(x, m.unit, y) != want:
+            if n((x, m.unit, y), 0) != want:
                 violations.append(Violation(
                     "unit-law", (x, m.unit, y),
-                    f"N_{{{lab[x]},1}}^{lab[y]} = {m.n(x, m.unit, y)}, expected {want}",
+                    f"N_{{{lab[x]},1}}^{lab[y]} = {n((x, m.unit, y), 0)}, expected {want}",
                 ))
 
-    # associativity on packed product vectors (see the module docstring)
-    support: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for (x, y, z), mult in m.fusion.items():
-        support.setdefault((x, y), []).append((z, mult))
-    n_max = max(m.fusion.values(), default=0)
-    width = (n_max * n_max * m.rank).bit_length()
-    mask = (1 << width) - 1
-    packed = [[0] * m.rank for _ in rng]  # packed[x][y] is x⊗y
-    # each distinct product vector and its support; 0 stands for the
-    # products that have no support
-    terms_of = {0: []}
-    for (x, y), terms in support.items():
-        packed[x][y] = v = sum(mult << width * z for z, mult in terms)
-        terms_of.setdefault(v, terms)
-    vector_id = {v: i for i, v in enumerate(terms_of)}
-    product_id = [[vector_id[v] for v in row] for row in packed]
-    # each side once per distinct vector, as ids of interned sums:
+    # associativity on packed product vectors (see the module docstring):
+    # each side once per distinct vector, as ids of interned sums;
     # (x⊗y)⊗z is sum_w N_xy^w (w⊗z) and x⊗(y⊗z) is sum_w N_yz^w (x⊗w)
+    packed = [list(map(vectors.__getitem__, row)) for row in product_id]
     sums: dict[int, int] = {}
 
     def side(row, terms) -> int:
-        v = sum(mult * row[w] for w, mult in terms)
+        v = sum(map(mul, terms[1], map(row.__getitem__, terms[0])))
         return sums.setdefault(v, len(sums))
 
     columns = list(zip(*packed))
-    left = [tuple(side(col, terms) for col in columns) for terms in terms_of.values()]
-    right = [[side(row, terms) for terms in terms_of.values()] for row in packed]
+    left = [tuple(side(col, terms) for col in columns) for terms in terms_of]
+    right = [[side(row, terms) for terms in terms_of] for row in packed]
     values = list(sums)
     for x in rng:
         right_of = right[x].__getitem__
@@ -292,7 +314,7 @@ def validate_mtc(m: ModularData) -> ValidationReport:
     for x in rng:
         for y in rng:
             want = 1 if y == m.dual[x] else 0
-            got = m.n(x, y, m.unit)
+            got = n((x, y, m.unit), 0)
             if got != want:
                 violations.append(Violation(
                     "duality", (x, y),

@@ -10,6 +10,7 @@ computed for a *purported* global symmetry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lshift
 from pathlib import Path
 
 from . import perms
@@ -31,7 +32,10 @@ class GlobalSymmetry:
 
 
 def validate_automorphism(m: ModularData, p: Permutation) -> ValidationReport:
-    """Check that p preserves the unit, duals, fusion coefficients, and twists."""
+    """Check that p preserves the unit, duals, fusion coefficients, and twists.
+
+    Fusion is compared by product vector ids (see ``mtc``); only the entries of
+    pairs that differ are then walked, in ``m.fusion`` order, to list violations."""
     if p.degree != m.rank:
         raise DegreeMismatch(
             f"permutation degree {p.degree} != number of labels {m.rank}"
@@ -60,18 +64,22 @@ def validate_automorphism(m: ModularData, p: Permutation) -> ValidationReport:
                 f"twist({lab[g[x]]!r}) = {m.twists[g[x]]}",
             ))
 
-    # g preserves N exactly when moving every support triple by g gives N
-    # back; the triples are walked only when it does not, to list the
-    # violations
-    fusion = m.fusion
-    if {(g[x], g[y], g[z]): n for (x, y, z), n in fusion.items()} != fusion:
+    product_id, vector_id, terms, width = m.product_table
+    shift = [width * u for u in g]  # sigma_g moves slot u to slot g(u)
+    image = [vector_id.get(sum(map(lshift, ns, map(shift.__getitem__, us))), -1)
+             for us, ns in terms]
+    # the pairs (x, y) with sigma_g(x⊗y) != (g x)⊗(g y)
+    rng = range(m.rank)
+    flagged = {(x, y) for x, row, g_row in zip(rng, product_id, map(product_id.__getitem__, g))
+               for y, v, gy in zip(rng, row, g) if image[v] != g_row[gy]}
+    if flagged:
         # N must agree on the support in both directions; triples with N = 0
-        # on both sides need no check
+        # on both sides, and triples of pairs that agree, need no check
         ginv = perms.inverse(p).images
         seen: set[tuple[int, int, int]] = set()
-        for (x, y, z) in fusion:
+        for (x, y, z) in m.fusion:
             for (a, b, c) in ((x, y, z), (ginv[x], ginv[y], ginv[z])):
-                if (a, b, c) in seen:
+                if (a, b) not in flagged or (a, b, c) in seen:
                     continue
                 seen.add((a, b, c))
                 if m.n(g[a], g[b], g[c]) != m.n(a, b, c):

@@ -212,3 +212,19 @@ def test_criterion_9_validation_speed(ising):
         f"symmetric_power_symmetry(Ising, 4) took {symmetry_elapsed:.2f} s"
     report_pass(9, f"validate_mtc on Ising^4 (81 labels) in {validate_elapsed:.3f} s; "
                    f"symmetric_power_symmetry(Ising, 4) in {symmetry_elapsed:.3f} s")
+
+
+def test_criterion_10_automorphism_speed(fibonacci):
+    power = wreath.materialize_power(fibonacci, 6)
+    generators = {
+        name: wreath.factor_permutation(fibonacci, 6, p)
+        for name, p in wreath.preset_generators("s6", 6).items()
+    }
+    assert len(power.fusion) == 15625
+    start = time.perf_counter()
+    s = build_symmetry(power, generators)
+    elapsed = time.perf_counter() - start
+    assert s.group.order == 720
+    assert elapsed < 3, f"build_symmetry of Fibonacci^6 under S_6 took {elapsed:.2f} s"
+    report_pass(10, f"build_symmetry of Fibonacci^6 under S_6 (720 elements, "
+                    f"15,625 fusion entries) in {elapsed:.2f} s")

@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,7 @@ from gcrank.mtc import (
     Violation,
     derive_duals,
     load_mtc,
+    mtc_from_doc,
     parse_mtc,
     serialize_mtc,
     validate_mtc,
@@ -154,7 +157,107 @@ def associativity_violations(m):
     return [v for v in validate_mtc(m).violations if v.rule == "associativity"]
 
 
+def reference_fusion(entries, labels):
+    """The fusion map by the per-entry loop ``mtc_from_doc`` ran on every
+    document before its one-pass fast path: the errors it raises, in their
+    precedence, are the ones that must not change."""
+    index = {l: i for i, l in enumerate(labels)}
+
+    def lookup(label):
+        if not isinstance(label, str) or label not in index:
+            raise UnknownLabel(f"unknown label {label!r}")
+        return index[label]
+
+    fusion = {}
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 4):
+            raise ParseError(f"fusion entry must be [x, y, z, n], got {entry!r}")
+        x, y, z, mult = entry
+        if type(mult) is not int or mult < 1:
+            raise ParseError(f"fusion multiplicity must be a positive integer, got {mult!r}")
+        key = (lookup(x), lookup(y), lookup(z))
+        if key in fusion:
+            raise ParseError(f"duplicate fusion entry for ({x}, {y}, {z})")
+        fusion[key] = mult
+    return fusion
+
+
+def reference_duals(labels, unit, fusion):
+    """``derive_duals`` by its former rank^2 lookups."""
+    duals = []
+    for x in range(len(labels)):
+        candidates = [y for y in range(len(labels)) if fusion.get((x, y, unit), 0) > 0]
+        if len(candidates) != 1 or fusion[(x, candidates[0], unit)] != 1:
+            raise DualityViolation(
+                f"label {labels[x]!r} has no unique dual: "
+                f"candidates {[labels[y] for y in candidates]}"
+            )
+        duals.append(candidates[0])
+    return tuple(duals)
+
+
+BUNDLED_DOCS = [json.loads(gcrank.bundled_data_path(f"{name}.json").read_text())
+                for name in ("fibonacci", "ising", "toric_code")]
+
+
+@st.composite
+def fusion_documents(draw):
+    """A bundled document with its fusion array shuffled, up to three
+    entries broken, relabelled, repeated or removed, and its duals dropped
+    or kept."""
+    doc = dict(draw(st.sampled_from(BUNDLED_DOCS)))
+    entries = draw(st.permutations([list(e) for e in doc["fusion"]]))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(entries) - 1))
+        fault = draw(st.sampled_from(
+            ["entry", "short", "long", "mult", "label", "relabel", "repeat", "remove"]))
+        if fault == "entry":
+            entries[i] = draw(st.sampled_from(
+                ["1111", {"1": 1, "e": 1, "m": 1, "f": 1}, 5, None, []]))
+        elif fault in ("short", "long") and isinstance(entries[i], list):
+            entries[i] = entries[i][:3] if fault == "short" else entries[i] + [1]
+        elif fault == "mult" and isinstance(entries[i], list) and len(entries[i]) == 4:
+            entries[i][3] = draw(st.sampled_from([0, -1, True, 1.0, "1", 2, 10**6]))
+        elif fault == "label" and isinstance(entries[i], list) and entries[i]:
+            k = draw(st.integers(0, min(2, len(entries[i]) - 1)))
+            entries[i][k] = draw(st.sampled_from(["nope", 1, None, ["1"], False]))
+        elif fault == "relabel" and isinstance(entries[i], list) and len(entries[i]) > 2:
+            entries[i][draw(st.integers(0, 2))] = draw(st.sampled_from(doc["labels"]))
+        elif fault == "repeat":
+            entries.insert(draw(st.integers(0, len(entries))), copy.deepcopy(entries[i]))
+        elif fault == "remove" and len(entries) > 1:
+            del entries[i]
+    doc["fusion"] = entries
+    if draw(st.booleans()):
+        doc.pop("duals", None)
+    return doc
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (ParseError, UnknownLabel, DualityViolation) as exc:
+        return type(exc), str(exc)
+
+
 class TestParse:
+    @given(fusion_documents())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_fusion_and_duals_equal_reference(self, doc):
+        def reference():
+            fusion = reference_fusion(doc["fusion"], doc["labels"])
+            unit = doc["labels"].index(doc["unit"])
+            duals = (tuple(doc["labels"].index(doc["duals"][l]) for l in doc["labels"])
+                     if "duals" in doc
+                     else reference_duals(tuple(doc["labels"]), unit, fusion))
+            return list(fusion.items()), duals
+
+        def parsed():
+            m = mtc_from_doc(doc)
+            return list(m.fusion.items()), m.dual
+
+        assert _outcome(parsed) == _outcome(reference)
+
     def test_fibonacci(self, fibonacci):
         assert fibonacci.labels == ("1", "tau")
         assert fibonacci.rank == 2
@@ -268,6 +371,16 @@ class TestDuals:
     def test_ambiguous_dual_rejected(self):
         with pytest.raises(DualityViolation):
             load_mtc(fixture_path("ambiguous_dual.json"))
+
+    def test_ambiguous_candidates_in_label_order(self):
+        doc = {k: v for k, v in BUNDLED_DOCS[0].items() if k != "duals"}
+        doc["fusion"] = [["1", "tau", "1", 1]] + doc["fusion"]  # listed before ["1", "1", "1", 1]
+        with pytest.raises(DualityViolation) as raised:
+            mtc_from_doc(doc)
+        assert str(raised.value) == "label '1' has no unique dual: candidates ['1', 'tau']"
+        fusion = reference_fusion(doc["fusion"], doc["labels"])
+        with pytest.raises(DualityViolation, match=re.escape(str(raised.value))):
+            reference_duals(tuple(doc["labels"]), 0, fusion)
 
     def test_duals_are_involutions(self, fibonacci, ising, toric_code):
         for m in (fibonacci, ising, toric_code):

@@ -1,15 +1,17 @@
 import dataclasses
+import functools
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gcrank
-from gcrank import perms, symmetry, wreath
+from gcrank import cli, perms, symmetry, wreath
 from gcrank.errors import DegreeMismatch, NotAnAutomorphism, ParseError
-from gcrank.mtc import Violation
+from gcrank.mtc import ModularData, Violation
 from gcrank.perms import Permutation, compose, format_cycles, identity
 from gcrank.symmetry import (
     build_symmetry,
@@ -92,6 +94,54 @@ AUTOMORPHISM_CASES = [
 DOUBLED_TORIC = _doubled(*AUTOMORPHISM_CASES[1], ("e*1", "e*1", "1*1"))
 
 
+# Fibonacci^4 under S_4, and toric code^2 with one entry raised to 10^6
+FIBONACCI_4 = _power_automorphisms("fibonacci", 4)
+MILLION_TORIC = (
+    dataclasses.replace(AUTOMORPHISM_CASES[1][0],
+                        fusion={**AUTOMORPHISM_CASES[1][0].fusion, (0, 0, 0): 10**6}),
+    AUTOMORPHISM_CASES[1][1],
+)
+
+
+@st.composite
+def broken_generators(draw):
+    """An automorphism of Ising^3, Fibonacci^4 or toric code^2 (one entry at
+    10^6 or not) whose images of the unit, or of two labels, are exchanged:
+    the unit moves, or two labels swap, and many N disagree."""
+    m, automorphisms = draw(st.sampled_from(
+        AUTOMORPHISM_CASES + [FIBONACCI_4, MILLION_TORIC]))
+    images = list(draw(st.sampled_from(automorphisms)).images)
+    i = m.unit if draw(st.booleans()) else draw(st.integers(0, m.rank - 1))
+    j = draw(st.integers(0, m.rank - 1).filter(lambda j: j != i))
+    images[i], images[j] = images[j], images[i]
+    return m, Permutation(tuple(images))
+
+
+def slot_permuted_ring(low, high):
+    """Labels 1, a, b, c with a⊗a = low b + high c and b⊗b = high b + low c:
+    the two product vectors are slot permutations of each other under (b c),
+    so sigma_(b c) maps one interned vector onto the other."""
+    fusion = {(0, x, x): 1 for x in range(4)} | {(x, 0, x): 1 for x in range(4)}
+    fusion |= {(1, 1, 2): low, (1, 1, 3): high, (2, 2, 2): high, (2, 2, 3): low}
+    return ModularData(name="slot-permuted", labels=("1", "a", "b", "c"), unit=0,
+                       fusion=fusion, dual=(0, 1, 2, 3), twists=(Fraction(0),) * 4)
+
+
+def count_table_builds(monkeypatch):
+    """The ModularData instances whose product table is built from now on."""
+    builds = []
+    build = ModularData.product_table.func
+
+    def spy(m):
+        builds.append(m)
+        return build(m)
+
+    table = functools.cached_property(spy)
+    table.__set_name__(ModularData, "product_table")
+    monkeypatch.setattr(ModularData, "product_table", table)
+    return builds
+
+
 @st.composite
 def labelled_permutations(draw):
     """A power of a bundled MTC with an automorphism, a random label
@@ -170,6 +220,38 @@ class TestValidateAutomorphism:
         assert list(validate_automorphism(m, p).violations) == \
             reference_automorphism(m, p)
 
+    @given(broken_generators())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_broken_generators_equal_reference(self, case):
+        m, p = case
+        assert list(validate_automorphism(m, p).violations) == \
+            reference_automorphism(m, p)
+
+    @pytest.mark.parametrize("case", [0, 1, 2])
+    def test_unit_moves_list_hundreds(self, case):
+        m, automorphisms = (AUTOMORPHISM_CASES + [FIBONACCI_4])[case]
+        for j in range(1, m.rank, 5):
+            images = list(automorphisms[-1].images)
+            images[m.unit], images[j] = images[j], images[m.unit]
+            p = Permutation(tuple(images))
+            violations = list(validate_automorphism(m, p).violations)
+            assert violations == reference_automorphism(m, p)
+            assert len(violations) >= 100
+
+    @pytest.mark.parametrize("low,high", [(2, 3), (10**6 - 1, 10**6)])
+    def test_slot_permuted_vectors(self, low, high):
+        m = slot_permuted_ring(low, high)
+        passing = []
+        for images in itertools.permutations(range(4)):
+            p = Permutation(images)
+            violations = list(validate_automorphism(m, p).violations)
+            assert violations == reference_automorphism(m, p)
+            if not violations:
+                passing.append(images)
+        assert passing == [(0, 1, 2, 3)]
+        swap = validate_automorphism(m, Permutation((0, 1, 3, 2))).violations
+        assert [v.indices for v in swap][:2] == [(1, 1, 2), (1, 1, 3)]
+
 
 class TestBuildSymmetry:
     def test_toric_swap_group_order_two(self, toric_swap):
@@ -188,6 +270,7 @@ class TestBuildSymmetry:
         assert passing == [identity(2)]
 
     def test_every_element_revalidated(self, ising, monkeypatch):
+        builds = count_table_builds(monkeypatch)
         calls = []
         original = symmetry.validate_automorphism
 
@@ -201,6 +284,23 @@ class TestBuildSymmetry:
         assert s.group.order == 24
         assert len(calls) == len(generators) + s.group.order
         assert set(calls[len(generators):]) == set(s.group.elements)
+        assert builds == [power]
+
+    @pytest.mark.parametrize("command", ["validate", "rank"])
+    def test_one_table_per_cli_run(self, command, monkeypatch, capsys):
+        builds = count_table_builds(monkeypatch)
+        calls = []
+        original = symmetry.validate_automorphism
+
+        def spy(m, p):
+            calls.append(m)
+            return original(m, p)
+
+        monkeypatch.setattr(symmetry, "validate_automorphism", spy)
+        mtc = str(gcrank.bundled_data_path("toric_code.json"))
+        sym = str(gcrank.bundled_data_path("toric_code_swap.json"))
+        assert cli.main([command, "--mtc", mtc, "--sym", sym]) == 0
+        assert len(builds) == 1 and set(calls) == set(builds)
 
     def test_bad_generator_rejected(self, ising):
         with pytest.raises(NotAnAutomorphism):
