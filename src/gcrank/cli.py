@@ -156,12 +156,13 @@ def _write_wreath_json(total: int, terms, rk: int, n: int, spec: str, order: int
     # rows without a representative (all of them, or none) show their cycle type
     cycle_type = (wreath.cycle_type_formatter(n) if terms[0].representative is None
                   else None)
+    names = perms.point_names(n)  # once per run, not per class
     entries = ",\n        ".join
     sep = "\n"
     for t in terms:
         a = f"[\n        {entries(map(digit, t.a))}\n      ]" if t.a else "[]"
-        rep = (perms.format_cycles(t.representative) if t.representative is not None
-               else cycle_type(t.a))
+        rep = (perms.format_cycles(t.representative, names)
+               if t.representative is not None else cycle_type(t.a))
         write(f'{sep}    {{\n      "cycle_type": {a},\n      "representative": '
               f'{encode_basestring(rep)},\n      "class_size": "{t.class_size}",'
               f'\n      "num_cycles": {t.num_cycles},\n      "contribution": '
@@ -208,10 +209,11 @@ def cmd_wreath(args) -> int:
         _write_wreath_json(total, terms, rk, n, spec, order)
     else:
         cycle_type = wreath.cycle_type_formatter(n)
+        names = perms.point_names(n)  # once per run, not per class
         rows = [
             (
                 cycle_type(t.a),
-                perms.format_cycles(t.representative)
+                perms.format_cycles(t.representative, names)
                 if t.representative is not None else "-",
                 str(t.class_size),
                 str(t.num_cycles),

@@ -78,6 +78,12 @@ class ModularData:
             terms.append(tuple(zip(*slots)) or ((), ()))
         return [list(map(vector_id.__getitem__, row)) for row in packed], vector_id, terms, width
 
+    @cached_property
+    def twist_ids(self) -> tuple[int, ...]:
+        """Each label's twist as a small id; labels share an id iff their twists are equal."""
+        ids: dict[Fraction, int] = {}
+        return tuple(ids.setdefault(t, len(ids)) for t in self.twists)
+
     def label_index(self, label: str) -> int:
         try:
             return self.labels.index(label)

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from itertools import repeat
+from operator import floordiv, itemgetter, mod
 
 from .errors import (
     DegreeMismatch,
@@ -155,14 +156,20 @@ def parse_cycles(text: str, degree: int, point=None) -> Permutation:
     return Permutation(tuple(images))
 
 
+def point_names(degree: int) -> list[str]:
+    """The 1-indexed point names ``format_cycles`` writes by default."""
+    return [str(pt + 1) for pt in range(degree)]
+
+
 def format_cycles(p: Permutation, names=None) -> str:
     """Cycle notation with fixed points omitted; the identity is ``"()"``.
 
     Points are written 1-indexed, or as ``names[point]`` when a sequence
     of names is given, e.g. the labels of a ModularData for ``"(e m)"``.
+    A caller formatting many permutations can pass ``point_names(degree)``.
     """
     if names is None:
-        names = [str(pt + 1) for pt in range(p.degree)]
+        names = point_names(p.degree)
     parts = [
         "(" + " ".join(names[pt] for pt in cycle) + ")"
         for cycle in cycle_decomposition(p).cycles
@@ -173,9 +180,11 @@ def format_cycles(p: Permutation, names=None) -> str:
 
 # -- finite groups ---------------------------------------------------------
 #
-# The engine works on raw image tuples: ``tuple(map(p.__getitem__, q))`` is
-# the product "q first, then p".  Products of bijections are bijections, so
-# elements are wrapped in Permutation objects only at the end, unchecked.
+# The engine works on raw image tuples: ``itemgetter(*q)(p)`` is the product
+# "q first, then p", as a tuple once the degree is at least 2 (on one point
+# itemgetter returns a bare entry).  It is faster than ``tuple(map(...))``.
+# Products of bijections are bijections, so elements are wrapped in
+# Permutation objects only at the end, unchecked.
 
 @dataclass(frozen=True)
 class FiniteGroup:
@@ -183,12 +192,19 @@ class FiniteGroup:
 
     Element 0 is the identity; the order of the rest is the breadth-first
     discovery order from the identity, which is deterministic.  The
-    generators are kept: orbits and conjugacy classes are computed from them.
+    generators are kept, with the closure's record of them: ``right[k][i]``
+    is the index of e_i∘g_k, and element i > 0 was first reached as
+    e_parent[i]∘g_via[i].  Orbits are computed from the generators,
+    conjugacy classes from this record.
     """
 
     degree: int
     elements: tuple[Permutation, ...]
     generators: tuple[Permutation, ...]
+    right: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    parent: tuple[int, ...] = field(repr=False, compare=False)
+    via: tuple[int, ...] = field(repr=False, compare=False)
+    _index: dict[tuple[int, ...], int] = field(repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -196,10 +212,6 @@ class FiniteGroup:
 
     def index_of(self, p: Permutation) -> int | None:
         return self._index.get(p.images)
-
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {e.images: i for i, e in enumerate(self.elements)}
 
 
 def group_order(degree: int, generators) -> int:
@@ -237,7 +249,7 @@ def group_order(degree: int, generators) -> int:
             u = t[pt][0]
             for s in strong[level]:
                 if s[pt] not in t:
-                    su = tuple(map(s.__getitem__, u))
+                    su = itemgetter(*u)(s)
                     t[s[pt]] = (su, _inverse_images(su))
                     frontier.append(s[pt])
 
@@ -246,7 +258,7 @@ def group_order(degree: int, generators) -> int:
             entry = trans[i].get(h[base[i]])
             if entry is None:
                 return h, i
-            h = tuple(map(entry[1].__getitem__, h))
+            h = itemgetter(*h)(entry[1])
         return h, len(base)
 
     def first_residue(i: int) -> tuple[tuple[int, ...], int] | None:
@@ -258,7 +270,7 @@ def group_order(degree: int, generators) -> int:
                     continue
                 # u_{s(pt)}^-1 s u_pt fixes base[:i + 1]
                 uinv = trans[i][s[pt]][1]
-                residue, j = sift(tuple(uinv[s[x]] for x in u), i + 1)
+                residue, j = sift(itemgetter(*itemgetter(*u)(s))(uinv), i + 1)
                 if residue != ident:
                     return residue, j
                 checked[i].add((pt, k))
@@ -315,26 +327,42 @@ def generate_group(
 
     The order is checked against ``cap`` first (``capped_order``), so a
     group too large is refused before any element is built.  Closure then
-    composes raw image tuples.
+    composes raw image tuples and records, for ``FiniteGroup``, the index
+    of every product e_i∘g_k and where each element was first reached.
     """
     capped_order(degree, generators, cap)
-    gens = [g.images for g in generators.values()]
+    # times[k](e) is the tuple e∘g_k; on one point every g_k is the identity
+    times = [itemgetter(*g.images) if degree > 1 else tuple
+             for g in generators.values()]
     start = tuple(range(degree))
+    index = {start: 0}
     elements = [start]
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                prod = tuple(map(e.__getitem__, g))
-                if prod not in seen:
-                    seen.add(prod)
-                    elements.append(prod)
-                    nxt.append(prod)
-        frontier = nxt
+    reached = [0]  # position in ``table`` where each element was first found
+    table = []  # index of e_i∘g_k at position i·|S| + k
+    new_element, new_reach, record = elements.append, reached.append, table.append
+    setdefault = index.setdefault
+    n = 1
+    for e in elements:  # the list grows behind the loop: breadth-first order
+        for by_g in times:
+            prod = by_g(e)
+            j = setdefault(prod, n)
+            if j == n:
+                new_element(prod)
+                new_reach(len(table))
+                n += 1
+            record(j)
+    wrapped = list(map(object.__new__, repeat(Permutation, n)))
+    for p, images in zip(wrapped, elements):
+        p.__dict__["images"] = images  # unchecked, as in ``_unchecked``
+    stride = len(times) or 1
     return FiniteGroup(
-        degree, tuple(map(_unchecked, elements)), tuple(generators.values())
+        degree,
+        tuple(wrapped),
+        tuple(generators.values()),
+        tuple(tuple(table[k::stride]) for k in range(len(times))),
+        tuple(map(floordiv, reached, repeat(stride))),
+        tuple(map(mod, reached, repeat(stride))),
+        index,
     )
 
 
@@ -348,28 +376,39 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassPartition:
 
     The class of h is its orbit under x -> g x g^-1 for the generators g
     (Butler, *Fundamental Algorithms for Permutation Groups*, 1991), so
-    the cost is |G|·|S| conjugations, not k(G)·|G|.  Classes are listed by
-    their least element index, each as sorted indices, so ``cls[0]`` is
-    the representative.
+    the cost is |G|·|S| conjugations, not k(G)·|G|.  Each conjugation is
+    an integer map read off the closure's table (Holt, Eick and O'Brien,
+    *Handbook of Computational Group Theory*, 2005, ch. 4): g e_i is
+    (g e_parent[i]) g_via[i], so ``left`` fills along the discovery tree,
+    and g x g^-1 sends e_i∘g to g∘e_i.  Classes are listed by their least
+    element index, each as sorted indices, so ``cls[0]`` is the
+    representative.
     """
-    index = group._index
-    pairs = [(g.images, _inverse_images(g.images)) for g in group.generators]
-    assigned = [False] * group.order
+    right, order = group.right, group.order
+    links = tuple(zip(group.parent[1:], group.via[1:]))
+    maps = []
+    for r in right:
+        left = [r[0]]  # g∘e_0 = e_0∘g
+        add = left.append
+        for p, v in links:
+            add(right[v][left[p]])  # g∘e_i = (g∘e_p)∘g_v
+        conj = [0] * order
+        for a, b in zip(r, left):
+            conj[a] = b
+        maps.append(conj)
+    assigned = [False] * order
     classes = []
-    for i, h in enumerate(group.elements):
+    for i in range(order):
         if assigned[i]:
             continue
         assigned[i] = True
         members = [i]
-        frontier = [h.images]
-        for x in frontier:
-            for g, ginv in pairs:
-                conj = tuple(map(g.__getitem__, map(x.__getitem__, ginv)))
-                j = index[conj]
+        for x in members:
+            for conj in maps:
+                j = conj[x]
                 if not assigned[j]:
                     assigned[j] = True
                     members.append(j)
-                    frontier.append(conj)
         classes.append(tuple(sorted(members)))
     return ConjugacyClassPartition(tuple(classes))
 

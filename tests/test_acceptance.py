@@ -228,3 +228,24 @@ def test_criterion_10_automorphism_speed(fibonacci):
     assert elapsed < 3, f"build_symmetry of Fibonacci^6 under S_6 took {elapsed:.2f} s"
     report_pass(10, f"build_symmetry of Fibonacci^6 under S_6 (720 elements, "
                     f"15,625 fusion entries) in {elapsed:.2f} s")
+
+
+def test_criterion_11_class_speed():
+    # A_8: the a8 preset's generators; a ratio of two timings on one host
+    gens = wreath.preset_generators("a8", 8)
+    closure = classes = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        group = generate_group(8, gens)
+        closure = min(closure, time.perf_counter() - start)
+        start = time.perf_counter()
+        part = perms.conjugacy_classes(group)
+        classes = min(classes, time.perf_counter() - start)
+    assert group.order == 20160
+    assert len(part.classes) == 14
+    assert classes < closure, (
+        f"conjugacy_classes of A_8 took {classes * 1e3:.1f} ms, "
+        f"generate_group {closure * 1e3:.1f} ms")
+    report_pass(11, f"conjugacy_classes of A_8 (20,160 elements) in "
+                    f"{classes * 1e3:.1f} ms, less than generate_group's "
+                    f"{closure * 1e3:.1f} ms")

@@ -36,6 +36,61 @@ def any_permutation(max_degree=10):
 S3_GENS = {"t": parse_cycles("(1 2)", 3), "c": parse_cycles("(1 2 3)", 3)}
 
 
+def cycle(points):
+    return "(" + " ".join(map(str, points)) + ")"
+
+
+def dihedral(n):
+    """The rotation and the reflection i -> n + 2 - i of an n-gon."""
+    return [cycle(range(1, n + 1)),
+            "".join(cycle((i, n + 2 - i)) for i in range(2, n // 2 + 2) if i < n + 2 - i)]
+
+
+# (name, degree, generators in cycle notation)
+NAMED_GROUPS = [
+    *[(f"S_{k}", k, ["(1 2)", cycle(range(1, k + 1))]) for k in range(3, 7)],
+    ("A_7 on 8 points", 8, ["(1 2 3)", cycle(range(1, 8))]),
+    ("Z_5", 5, [cycle(range(1, 6))]),
+    ("D_12", 12, dihedral(12)),
+    ("D_60", 60, dihedral(60)),
+    ("A_5 x S_3", 8, ["(1 2 3)", "(1 2 3 4 5)", "(6 7)", "(6 7 8)"]),
+    ("S_4 x S_4", 8, ["(1 2)", "(1 2 3 4)", "(5 6)", "(5 6 7 8)"]),
+    ("trivial on 1 point", 1, ["()"]),
+]
+
+
+def named_group(case):
+    _, degree, texts = case
+    return generate_group(
+        degree, {f"g{i}": parse_cycles(t, degree) for i, t in enumerate(texts)})
+
+
+def reference_classes(group):
+    """Conjugacy classes by the loop ``conjugacy_classes`` used before the
+    closure's table: each conjugate g x g^-1 composed as an image tuple and
+    looked up among the elements."""
+    index = {e.images: i for i, e in enumerate(group.elements)}
+    pairs = [(g.images, inverse(g).images) for g in group.generators]
+    assigned = [False] * group.order
+    classes = []
+    for i, h in enumerate(group.elements):
+        if assigned[i]:
+            continue
+        assigned[i] = True
+        members = [i]
+        frontier = [h.images]
+        for x in frontier:
+            for g, ginv in pairs:
+                conj = tuple(map(g.__getitem__, map(x.__getitem__, ginv)))
+                j = index[conj]
+                if not assigned[j]:
+                    assigned[j] = True
+                    members.append(j)
+                    frontier.append(conj)
+        classes.append(tuple(sorted(members)))
+    return tuple(classes)
+
+
 class TestIdentityComposeInverse:
     def test_identity_images(self):
         assert identity(3).images == (0, 1, 2)
@@ -180,6 +235,21 @@ class TestGenerateGroup:
         group = generate_group(3, S3_GENS)
         assert group.elements[0] == identity(3)
 
+    @pytest.mark.parametrize("case", NAMED_GROUPS, ids=[c[0] for c in NAMED_GROUPS])
+    def test_table_records_products_and_tree(self, case):
+        group = named_group(case)
+        gens = group.generators
+        assert len(group.right) == len(gens)
+        for k, g in enumerate(gens):
+            assert group.right[k] == tuple(
+                group.index_of(compose(e, g)) for e in group.elements)
+        # every element i > 0 is its parent times the generator that reached it
+        assert group.parent[0] == 0
+        for i in range(1, group.order):
+            assert group.parent[i] < i
+            assert group.elements[i] == compose(
+                group.elements[group.parent[i]], gens[group.via[i]])
+
     @given(st.lists(permutations(5), min_size=1, max_size=3))
     @settings(max_examples=30, deadline=None)
     def test_generator_order_irrelevant(self, gens):
@@ -221,6 +291,19 @@ class TestConjugacyClasses:
         group = generate_group(3, S3_GENS)
         part = conjugacy_classes(group)
         assert part.classes[0] == (0,)
+
+    @pytest.mark.parametrize("case", NAMED_GROUPS, ids=[c[0] for c in NAMED_GROUPS])
+    def test_named_groups_equal_reference(self, case):
+        group = named_group(case)
+        assert conjugacy_classes(group).classes == reference_classes(group)
+
+    @given(st.integers(1, 6).flatmap(
+        lambda d: st.lists(permutations(d), min_size=0, max_size=3)))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_random_generators_equal_reference(self, gens):
+        degree = gens[0].degree if gens else 4
+        group = generate_group(degree, {f"g{i}": g for i, g in enumerate(gens)})
+        assert conjugacy_classes(group).classes == reference_classes(group)
 
     @given(st.lists(permutations(5), min_size=1, max_size=2))
     @settings(max_examples=25, deadline=None)
