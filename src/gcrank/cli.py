@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 domain failure (validation, inconsistency),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -254,6 +255,7 @@ def positive_int(text: str) -> int:
     return value
 
 
+@functools.cache  # once per process; commands are looked up per call in main
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gcrank",
@@ -275,17 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mtc", required=True)
     p.add_argument("--sym")
     common(p)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("rank", help="per-element and total extension ranks")
     common(p, mtc=True, sym=True)
     p.add_argument("--by-class", action="store_true",
                    help="one row per conjugacy class")
-    p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("burnside", help="orbits and the two total-rank expressions")
     common(p, mtc=True, sym=True)
-    p.set_defaults(func=cmd_burnside)
 
     p = sub.add_parser("wreath", help="rank of the permutation extension C wr G")
     common(p, mtc=True)
@@ -295,12 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help='"s<n>", "a<n>", "z<n>", or cycle-notation generators')
     p.add_argument("--closed-form", action="store_true",
                    help="use the prime-cyclic closed form (group must be z<n>)")
-    p.set_defaults(func=cmd_wreath)
 
     p = sub.add_parser("poly", help="rank polynomial of the symmetric group S_n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_poly)
 
     return parser
 
@@ -308,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.subcommand}"](args)
     except (GcrankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, GcrankError) else 2

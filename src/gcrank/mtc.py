@@ -84,11 +84,20 @@ class ModularData:
         ids: dict[Fraction, int] = {}
         return tuple(ids.setdefault(t, len(ids)) for t in self.twists)
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {label: i for i, label in enumerate(self.labels)}
+
     def label_index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise UnknownLabel(f"unknown label {label!r}") from None
+        return find_label(self._positions, label)
+
+
+def find_label(positions: dict[str, int], label) -> int:
+    """``positions[label]``; UnknownLabel for a label not in it, or not hashable."""
+    try:
+        return positions[label]
+    except (KeyError, TypeError):
+        raise UnknownLabel(f"unknown label {label!r}") from None
 
 
 @dataclass(frozen=True)
@@ -165,34 +174,22 @@ def mtc_from_doc(doc) -> ModularData:
         dupes = sorted({l for l in labels if labels.count(l) > 1})
         raise DuplicateLabel(f"duplicate labels: {dupes}")
     index = {l: i for i, l in enumerate(labels)}
+    unit = find_label(index, doc["unit"])
 
-    def lookup(label) -> int:
-        if not isinstance(label, str) or label not in index:
-            raise UnknownLabel(f"unknown label {label!r}")
-        return index[label]
-
-    unit = lookup(doc["unit"])
-
-    entries = doc["fusion"]
-    try:  # the map in one pass, checked whole; on any fault the loop below reports the first
-        fusion = {(index[x], index[y], index[z]): n for x, y, z, n in entries}
-        # an entry that unpacks but is not a list (a str or dict) has a str as n
-        well_formed = (len(fusion) == len(entries) and set(map(type, fusion.values())) <= {int}
-                       and min(fusion.values(), default=1) > 0)
-    except (KeyError, TypeError, ValueError):  # an unknown label, or not [x, y, z, n]
-        well_formed = False
-    if not well_formed:
-        fusion = {}
-        for entry in entries:
-            if not (isinstance(entry, list) and len(entry) == 4):
-                raise ParseError(f"fusion entry must be [x, y, z, n], got {entry!r}")
-            x, y, z, mult = entry
-            if type(mult) is not int or mult < 1:
-                raise ParseError(f"fusion multiplicity must be a positive integer, got {mult!r}")
-            key = (lookup(x), lookup(y), lookup(z))
-            if key in fusion:
-                raise ParseError(f"duplicate fusion entry for ({x}, {y}, {z})")
-            fusion[key] = mult
+    fusion = {}
+    for entry in doc["fusion"]:
+        if not (isinstance(entry, list) and len(entry) == 4):
+            raise ParseError(f"fusion entry must be [x, y, z, n], got {entry!r}")
+        x, y, z, mult = entry
+        if type(mult) is not int or mult < 1:
+            raise ParseError(f"fusion multiplicity must be a positive integer, got {mult!r}")
+        try:
+            key = index[x], index[y], index[z]
+        except (KeyError, TypeError):  # name the first unknown label
+            key = find_label(index, x), find_label(index, y), find_label(index, z)
+        if key in fusion:
+            raise ParseError(f"duplicate fusion entry for ({x}, {y}, {z})")
+        fusion[key] = mult
 
     twists_doc = doc["twists"]
     if set(twists_doc) != set(labels):
@@ -216,7 +213,7 @@ def mtc_from_doc(doc) -> ModularData:
         duals_doc = doc["duals"]
         if set(duals_doc) != set(labels):
             raise ParseError("duals must map every label")
-        dual = tuple(lookup(duals_doc[label]) for label in labels)
+        dual = tuple(find_label(index, duals_doc[label]) for label in labels)
     else:
         dual = derive_duals(tuple(labels), unit, fusion)
 

@@ -42,12 +42,6 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
-    def __str__(self) -> str:
-        return format_cycles(self)
-
 
 def _unchecked(images: tuple[int, ...]) -> Permutation:
     """A Permutation from images already known to form a bijection."""
@@ -380,9 +374,9 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassPartition:
     an integer map read off the closure's table (Holt, Eick and O'Brien,
     *Handbook of Computational Group Theory*, 2005, ch. 4): g e_i is
     (g e_parent[i]) g_via[i], so ``left`` fills along the discovery tree,
-    and g x g^-1 sends e_i∘g to g∘e_i.  Classes are listed by their least
-    element index, each as sorted indices, so ``cls[0]`` is the
-    representative.
+    and g x g^-1 sends e_i∘g to g∘e_i.  The classes are the orbits of these
+    maps (``_orbits``, as for ``orbits``), listed by their least element
+    index, each as sorted indices, so ``cls[0]`` is the representative.
     """
     right, order = group.right, group.order
     links = tuple(zip(group.parent[1:], group.via[1:]))
@@ -396,37 +390,29 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassPartition:
         for a, b in zip(r, left):
             conj[a] = b
         maps.append(conj)
-    assigned = [False] * order
-    classes = []
-    for i in range(order):
-        if assigned[i]:
-            continue
-        assigned[i] = True
-        members = [i]
-        for x in members:
-            for conj in maps:
-                j = conj[x]
-                if not assigned[j]:
-                    assigned[j] = True
-                    members.append(j)
-        classes.append(tuple(sorted(members)))
-    return ConjugacyClassPartition(tuple(classes))
+    return ConjugacyClassPartition(tuple(map(tuple, map(sorted, _orbits(order, maps)))))
 
 
 def orbits(group: FiniteGroup) -> list[frozenset[int]]:
     """Orbits of the group on {0, ..., degree-1}, sorted by minimal point."""
-    gens = [g.images for g in group.generators]
-    seen = [False] * group.degree
+    return list(map(frozenset, _orbits(group.degree, [g.images for g in group.generators])))
+
+
+def _orbits(size: int, maps) -> list[list[int]]:
+    """The orbits of {0, ..., size-1} under the integer maps, breadth-first
+    from each least point not yet reached, in order of that point."""
+    seen = [False] * size
     result = []
-    for start in range(group.degree):
+    for start in range(size):
         if seen[start]:
             continue
         seen[start] = True
         orbit = [start]
-        for pt in orbit:
-            for g in gens:
-                if not seen[g[pt]]:
-                    seen[g[pt]] = True
-                    orbit.append(g[pt])
-        result.append(frozenset(orbit))
+        for x in orbit:
+            for m in maps:
+                y = m[x]
+                if not seen[y]:
+                    seen[y] = True
+                    orbit.append(y)
+        result.append(orbit)
     return result

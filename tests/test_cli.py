@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import subprocess
@@ -278,6 +279,23 @@ def test_main_exits_with_the_error_class_code(capsys, monkeypatch, cls):
     monkeypatch.setattr(cli, "cmd_poly", fail)
     assert main(["poly", "--n", "3"]) == EXIT_CODES.get(cls.__name__, 2)
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    """The argparse tree is built at most once per process, not per call."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    assert main(["poly", "--n", "3"]) == 0
+    first = len(built)
+    assert main(["poly", "--n", "4"]) == 0
+    assert len(built) == first
+    assert built.count("gcrank") <= 1
 
 
 def test_import_loads_no_numpy():

@@ -1,0 +1,90 @@
+"""Exact error texts of raise sites that no other test reaches.
+
+Each CLI case pins the exit code, an empty stdout and the whole one-line
+stderr; each library case pins the error class and its message.  The texts
+were recorded before the CLI parser was cached and before ``mtc_from_doc``
+parsed fusion entries in one loop, so a refactor that changes a text, or
+which of two faults is reported first, fails here.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+import gcrank
+from gcrank import errors
+from gcrank.cli import main
+from gcrank.perms import Permutation
+
+FIB = json.loads(Path(gcrank.bundled_data_path("fibonacci.json")).read_text())
+TWISTS = FIB["twists"]
+
+
+def _mtc(**changes):
+    return {**FIB, **changes}
+
+
+# name -> (argv before the file path, file document or None, exit code, stderr)
+CLI_CASES = {
+    "negative-rk": (
+        ["wreath", "--rk", "-1", "--n", "3", "--group", "s3"], None, 2,
+        "error: --rk must be non-negative\n"),
+    "closed-form-not-cyclic": (
+        ["wreath", "--rk", "3", "--n", "5", "--group", "s5", "--closed-form"], None, 2,
+        "error: --closed-form applies only to --group z<n>\n"),
+    "top-level-not-object": (
+        ["validate", "--mtc"], [FIB], 2,
+        "error: top-level value must be an object\n"),
+    "labels-not-strings": (
+        ["validate", "--mtc"], _mtc(labels=[1, "tau"]), 2,
+        'error: "labels" must be an array of strings\n'),
+    "twists-unknown-label": (
+        ["validate", "--mtc"], _mtc(twists={**TWISTS, "x": [0, 1]}), 2,
+        "error: twists reference unknown labels ['x']\n"),
+    "twists-missing-label": (
+        ["validate", "--mtc"], _mtc(twists={"1": [0, 1]}), 2,
+        "error: twists missing for labels ['tau']\n"),
+    "duals-not-total": (
+        ["validate", "--mtc"], _mtc(duals={"tau": "tau"}), 2,
+        "error: duals must map every label\n"),
+    "image-list-wrong-length": (
+        ["rank", "--sym"], {"mtc": FIB, "generators": {"g": ["tau"]}}, 2,
+        "error: generator image list has 1 entries, expected 2\n"),
+    "generator-not-string-or-list": (
+        ["rank", "--sym"], {"mtc": FIB, "generators": {"g": 5}}, 2,
+        "error: generator must be a string or a list, got 5\n"),
+    "symmetry-without-mtc": (
+        ["rank", "--sym"], {"generators": {}}, 2,
+        'error: symmetry file has no "mtc" field and none was supplied\n'),
+}
+
+
+@pytest.mark.parametrize("name", list(CLI_CASES))
+def test_cli_error_text(capsys, tmp_path, name):
+    argv, doc, code, stderr = CLI_CASES[name]
+    if doc is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = [*argv, str(path)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == stderr
+
+
+LIBRARY_CASES = {
+    "empty-permutation": (lambda: Permutation(()), errors.InvalidDegree,
+                          "degree must be >= 1"),
+    "non-bijective-permutation": (lambda: Permutation((0, 0)), errors.GcrankError,
+                                  "images (0, 0) are not a bijection"),
+}
+
+
+@pytest.mark.parametrize("name", list(LIBRARY_CASES))
+def test_library_error_text(name):
+    call, cls, message = LIBRARY_CASES[name]
+    with pytest.raises(errors.GcrankError) as info:
+        call()
+    assert type(info.value) is cls
+    assert str(info.value) == message

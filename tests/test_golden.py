@@ -9,7 +9,9 @@ S_n polynomial was taken from the Stirling recurrence.  The rk = 0 and
 recorded before ``wreath --json`` was written row by row instead of through
 ``json.dumps(indent=2)``.  The ``validate`` cases were recorded before the
 associativity and automorphism checks compared packed product vectors
-instead of looping over every triple.  To record the files again after an intended
+instead of looping over every triple.  The Z_4 cases were recorded before the
+CLI parser was cached and ``mtc_from_doc`` parsed fusion entries in one loop;
+Z_4 is not self-dual, so they fire the dual rules the other files cannot.  To record the files again after an intended
 output change, run ``PYTHONPATH=src python tests/test_golden.py`` from the
 repository root and review the diff; it prints the digests to pin.
 """
@@ -72,6 +74,15 @@ CASES = {
     "validate_ising_bad_generator": [
         "validate", "--mtc", ISING, "--sym", str(FIXTURES / "bad_generator.json"),
         "--json",
+    ],
+    # "(1 3)" inverts and passes; "(1 2)" breaks duals, twists and fusion
+    "validate_z4_generators": [
+        "validate", "--mtc", str(FIXTURES / "z4.json"),
+        "--sym", str(FIXTURES / "z4_generators.json"), "--json",
+    ],
+    # duals form a 4-cycle: not an involution, and the unit is not self-dual
+    "validate_z4_bad_duals": [
+        "validate", "--mtc", str(FIXTURES / "z4_bad_duals.json"), "--json"
     ],
 }
 
