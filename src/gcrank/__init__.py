@@ -31,7 +31,6 @@ from .rank import (
 )
 from .symmetry import GlobalSymmetry, build_symmetry, load_symmetry, validate_automorphism
 from .wreath import (
-    CycleType,
     RankPolynomial,
     brute_force_wreath_rank,
     cycle_type_of,

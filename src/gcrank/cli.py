@@ -15,7 +15,7 @@ import sys
 from json.encoder import encode_basestring
 
 from . import perms, rank, symmetry, wreath
-from .errors import GcrankError, InconsistencyError, ParseError
+from .errors import GcrankError, ParseError
 from .mtc import load_mtc, validate_mtc
 from .perms import DEFAULT_GROUP_CAP
 
@@ -149,7 +149,7 @@ def cmd_burnside(args) -> int:
 def _write_wreath_json(total: int, terms, rk: int, n: int, spec: str, order: int):
     """Write, one row at a time, the bytes of ``json.dumps(doc, indent=2,
     ensure_ascii=False)`` for the wreath document (``terms`` is never empty:
-    the identity is a class)."""
+    the identity is a class, and n >= 1, so no cycle type is empty)."""
     write = sys.stdout.write
     write(f'{{\n  "rk": "{rk}",\n  "n": {n},\n  "group": {encode_basestring(spec)},'
           f'\n  "group_order": {order},\n  "total_rank": "{total}",\n  "per_class": [')
@@ -161,7 +161,7 @@ def _write_wreath_json(total: int, terms, rk: int, n: int, spec: str, order: int
     entries = ",\n        ".join
     sep = "\n"
     for t in terms:
-        a = f"[\n        {entries(map(digit, t.a))}\n      ]" if t.a else "[]"
+        a = f"[\n        {entries(map(digit, t.a))}\n      ]"
         rep = (perms.format_cycles(t.representative, names)
                if t.representative is not None else cycle_type(t.a))
         write(f'{sep}    {{\n      "cycle_type": {a},\n      "representative": '
@@ -199,9 +199,7 @@ def cmd_wreath(args) -> int:
 
     if spec == f"s{n}":
         total, terms = wreath.rank_wreath_symmetric(rk, n)
-        order = sum(t.class_size for t in terms)
-        if order != math.factorial(n):
-            raise InconsistencyError(f"class sizes of S_{n} sum to {order}, not {n}!")
+        order = math.factorial(n)
     else:
         group = wreath.preset_group(args.group, n, cap=args.cap)
         total, terms = wreath.rank_wreath_subgroup(rk, group)

@@ -258,6 +258,7 @@ def validate_mtc(m: ModularData) -> ValidationReport:
     violations: list[Violation] = []
     rng = range(m.rank)
     lab = m.labels
+    unit_label = lab[m.unit]
     n = m.fusion.get  # not the method ModularData.n: 3 rank^2 reads below
     product_id, vector_id, terms_of, width = m.product_table
     mask = (1 << width) - 1
@@ -270,12 +271,12 @@ def validate_mtc(m: ModularData) -> ValidationReport:
             if n((m.unit, x, y), 0) != want:
                 violations.append(Violation(
                     "unit-law", (m.unit, x, y),
-                    f"N_{{1,{lab[x]}}}^{lab[y]} = {n((m.unit, x, y), 0)}, expected {want}",
+                    f"N_{{{unit_label},{lab[x]}}}^{lab[y]} = {n((m.unit, x, y), 0)}, expected {want}",
                 ))
             if n((x, m.unit, y), 0) != want:
                 violations.append(Violation(
                     "unit-law", (x, m.unit, y),
-                    f"N_{{{lab[x]},1}}^{lab[y]} = {n((x, m.unit, y), 0)}, expected {want}",
+                    f"N_{{{lab[x]},{unit_label}}}^{lab[y]} = {n((x, m.unit, y), 0)}, expected {want}",
                 ))
 
     # associativity on packed product vectors (see the module docstring):
@@ -321,7 +322,7 @@ def validate_mtc(m: ModularData) -> ValidationReport:
             if got != want:
                 violations.append(Violation(
                     "duality", (x, y),
-                    f"N_{{{lab[x]},{lab[y]}}}^1 = {got}, expected {want}",
+                    f"N_{{{lab[x]},{lab[y]}}}^{unit_label} = {got}, expected {want}",
                 ))
         if m.dual[m.dual[x]] != x:
             violations.append(Violation(

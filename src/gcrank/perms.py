@@ -78,25 +78,9 @@ def fixed_points(p: Permutation) -> frozenset[int]:
     return frozenset(i for i, im in enumerate(p.images) if im == i)
 
 
-@dataclass(frozen=True)
-class CycleDecomposition:
-    """Cycles of a permutation, fixed points included as 1-cycles.
-
-    Each cycle starts at its minimal point; cycles are sorted by that point.
-    """
-
-    degree: int
-    cycles: tuple[tuple[int, ...], ...]
-
-    def to_permutation(self) -> Permutation:
-        images = list(range(self.degree))
-        for cycle in self.cycles:
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                images[a] = b
-        return Permutation(tuple(images))
-
-
-def cycle_decomposition(p: Permutation) -> CycleDecomposition:
+def cycle_decomposition(p: Permutation) -> tuple[tuple[int, ...], ...]:
+    """Cycles of p, fixed points included as 1-cycles.  Each cycle starts at
+    its minimal point; cycles are sorted by that point."""
     seen = [False] * p.degree
     cycles = []
     for start in range(p.degree):
@@ -110,7 +94,7 @@ def cycle_decomposition(p: Permutation) -> CycleDecomposition:
             seen[nxt] = True
             nxt = p.images[nxt]
         cycles.append(tuple(cycle))
-    return CycleDecomposition(p.degree, tuple(cycles))
+    return tuple(cycles)
 
 
 # -- cycle-notation text format -------------------------------------------
@@ -166,7 +150,7 @@ def format_cycles(p: Permutation, names=None) -> str:
         names = point_names(p.degree)
     parts = [
         "(" + " ".join(names[pt] for pt in cycle) + ")"
-        for cycle in cycle_decomposition(p).cycles
+        for cycle in cycle_decomposition(p)
         if len(cycle) > 1
     ]
     return "".join(parts) if parts else "()"
@@ -324,6 +308,8 @@ def generate_group(
     composes raw image tuples and records, for ``FiniteGroup``, the index
     of every product e_i∘g_k and where each element was first reached.
     """
+    if degree < 1:
+        raise InvalidDegree(f"degree must be >= 1, got {degree}")
     capped_order(degree, generators, cap)
     # times[k](e) is the tuple e∘g_k; on one point every g_k is the identity
     times = [itemgetter(*g.images) if degree > 1 else tuple

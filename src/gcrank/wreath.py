@@ -12,12 +12,12 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import perms
-from .errors import NotPrime, OutOfRange, ParseError, TooLarge
+from .errors import InconsistencyError, NotPrime, OutOfRange, ParseError, TooLarge
 from .mtc import ModularData
 from .perms import DEFAULT_GROUP_CAP, FiniteGroup, Permutation
 from .symmetry import GlobalSymmetry, build_symmetry
@@ -36,54 +36,17 @@ def cycle_type_formatter(n: int):
     return lambda a: join(map(pick, compress(texts, a), compress(a, a))) or "-"
 
 
-def _check_cycle_type(n: int, a: tuple[int, ...]) -> None:
-    if len(a) != n or sum(map(operator.mul, itertools.count(1), a)) != n:
-        raise OutOfRange(f"invalid cycle type {a} for n = {n}")
-
-
-@dataclass(frozen=True)
-class CycleType:
-    """Cycle type a = (a_1, ..., a_n): a_j is the number of j-cycles."""
-
-    n: int
-    a: tuple[int, ...]
-    # the class size when the caller already knows it (``partitions`` takes
-    # it from ``_cycle_types``); 0 means it is computed on demand
-    _class_size: int = field(default=0, compare=False, repr=False, kw_only=True)
-
-    def __post_init__(self):
-        _check_cycle_type(self.n, self.a)
-
-    @property
-    def num_cycles(self) -> int:
-        return sum(self.a)
-
-    @property
-    def class_size(self) -> int:
-        """n! / prod_j j^(a_j) a_j!, exact."""
-        if self._class_size:
-            return self._class_size
-        denom = math.prod(
-            j**aj * math.factorial(aj) for j, aj in enumerate(self.a, 1) if aj
-        )
-        size, rem = divmod(math.factorial(self.n), denom)
-        assert rem == 0
-        return size
-
-    def __str__(self) -> str:
-        return cycle_type_formatter(self.n)(self.a)
-
-
 def _check_degree(n: int) -> None:
     if not 1 <= n <= PARTITION_CAP:
         raise OutOfRange(f"n must be in 1..{PARTITION_CAP}, got {n}")
 
 
-def _cycle_types(n: int) -> list[tuple[tuple[int, ...], int]]:
-    """(a, class size) for all p(n) cycle types, in reverse-lexicographic
-    order on a: a_1 from its largest value down, then a_2, and so on.  A
-    branch is taken only if what is left is 0 or can be made of parts longer
-    than j."""
+def partitions(n: int) -> list[tuple[tuple[int, ...], int]]:
+    """(a, class size) for all p(n) cycle types a = (a_1, ..., a_n), a_j the
+    number of j-cycles, in reverse-lexicographic order on a: a_1 from its
+    largest value down, then a_2, and so on.  A branch is taken only if what
+    is left is 0 or can be made of parts longer than j, so every a has
+    sum_j j a_j = n; its class size is n! / prod_j j^(a_j) a_j!, exact."""
     _check_degree(n)
     fact_n = math.factorial(n)
     a = [0] * n
@@ -106,17 +69,12 @@ def _cycle_types(n: int) -> list[tuple[tuple[int, ...], int]]:
     return types
 
 
-def partitions(n: int) -> list[CycleType]:
-    """All p(n) cycle types with their class sizes, in the order of
-    ``_cycle_types``."""
-    return [CycleType(n, a, _class_size=size) for a, size in _cycle_types(n)]
-
-
-def cycle_type_of(p: Permutation) -> CycleType:
+def cycle_type_of(p: Permutation) -> tuple[int, ...]:
+    """The cycle type a of p: a_j is the number of its j-cycles."""
     a = [0] * p.degree
-    for cycle in perms.cycle_decomposition(p).cycles:
+    for cycle in perms.cycle_decomposition(p):
         a[len(cycle) - 1] += 1
-    return CycleType(p.degree, tuple(a))
+    return tuple(a)
 
 
 @dataclass(frozen=True)
@@ -194,21 +152,24 @@ def rank_wreath_subgroup(
     terms = []
     for cls in perms.conjugacy_classes(group).classes:
         rep = group.elements[cls[0]]
-        ct = cycle_type_of(rep)
-        c = ct.num_cycles
-        terms.append(ClassTerm(ct.a, rep, len(cls), c, len(cls) * rk**c))
+        a = cycle_type_of(rep)
+        c = sum(a)
+        terms.append(ClassTerm(a, rep, len(cls), c, len(cls) * rk**c))
     return sum(t.contribution for t in terms), terms
 
 
 def rank_wreath_symmetric(rk: int, n: int) -> tuple[int, list[ClassTerm]]:
-    """Total rank of C wr S_n from cycle types; S_n is never materialized."""
-    types = _cycle_types(n)  # checks n before the power table is sized
+    """Total rank of C wr S_n from cycle types; S_n is never materialized.
+    InconsistencyError if the class sizes do not sum to n!."""
+    types = partitions(n)  # checks n before the power table is sized
     powers = [rk**k for k in range(n + 1)]
     terms = []
     for a, size in types:
-        _check_cycle_type(n, a)
         c = sum(a)
         terms.append(ClassTerm(a, None, size, c, size * powers[c]))
+    order = sum(t.class_size for t in terms)
+    if order != math.factorial(n):
+        raise InconsistencyError(f"class sizes of S_{n} sum to {order}, not {n}!")
     return sum(t.contribution for t in terms), terms
 
 
@@ -240,6 +201,8 @@ _PRESET_RE = re.compile(r"([saz])(\d+)$")
 def preset_generators(spec: str, degree: int) -> dict[str, Permutation]:
     """Named generator sets for "s<k>", "a<k>", "z<k>" (k <= degree, acting
     on the first k points), or explicit comma-separated cycle notation."""
+    if degree < 1:
+        raise OutOfRange(f"degree must be >= 1, got {degree}")
     m = _PRESET_RE.match(spec.strip().lower())
     if m:
         kind, k = m.group(1), int(m.group(2))

@@ -221,17 +221,27 @@ class TestWreath:
         assert doc["group_order"] == 479001600
 
     def test_symmetric_order_checked_against_factorial(self, capsys, monkeypatch):
-        symmetric = cli.wreath.rank_wreath_symmetric
+        partitions = cli.wreath.partitions
 
-        def without_identity(rk, n):
-            total, terms = symmetric(rk, n)
-            return total, terms[1:]
+        def without_identity(n):
+            return partitions(n)[1:]
 
-        monkeypatch.setattr(cli.wreath, "rank_wreath_symmetric", without_identity)
+        monkeypatch.setattr(cli.wreath, "partitions", without_identity)
         code, out, err = run(capsys, "wreath", "--rk", "2", "--n", "4", "--group", "s4")
         assert code == 1
         assert out == ""
         assert "class sizes of S_4 sum to 23, not 4!" in err
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    @pytest.mark.parametrize("group", [",", "()", "z1", "a3"])
+    def test_degree_below_one_is_usage_error(self, capsys, group, n):
+        code, out, err = run(capsys, "wreath", "--rk", "2", "--n", n, "--group", group)
+        assert (code, out, err) == (2, "", f"error: degree must be >= 1, got {n}\n")
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_symmetric_degree_below_one_keeps_range_text(self, capsys, n):
+        code, out, err = run(capsys, "wreath", "--rk", "2", "--n", n, "--group", f"s{n}")
+        assert (code, out, err) == (2, "", f"error: n must be in 1..60, got {n}\n")
 
     def test_deterministic_json(self, capsys):
         _, first, _ = run(capsys, "wreath", "--rk", "3", "--n", "5", "--group", "s5", "--json")

@@ -11,7 +11,10 @@ recorded before ``wreath --json`` was written row by row instead of through
 associativity and automorphism checks compared packed product vectors
 instead of looping over every triple.  The Z_4 cases were recorded before the
 CLI parser was cached and ``mtc_from_doc`` parsed fusion entries in one loop;
-Z_4 is not self-dual, so they fire the dual rules the other files cannot.  To record the files again after an intended
+Z_4 is not self-dual, so they fire the dual rules the other files cannot.
+Its unit is "0", and ``validate_z4_bad_duals`` was recorded again when the
+unit-law and duality messages began to write the unit's label where they
+wrote a literal 1.  To record the files again after an intended
 output change, run ``PYTHONPATH=src python tests/test_golden.py`` from the
 repository root and review the diff; it prints the digests to pin.
 """

@@ -345,6 +345,16 @@ class TestValidate:
         rules = {v.rule for v in validate_mtc(m).violations}
         assert "unit-law" in rules
 
+    def test_unit_messages_name_the_unit(self):
+        # Z_4's unit is "0"; the messages write it where N_{1,x}^y has 1
+        doc = json.loads(fixture_path("z4.json").read_text())
+        doc["fusion"].remove(["0", "1", "1", 1])
+        doc["fusion"].remove(["1", "3", "0", 1])
+        doc["duals"] = {"0": "0", "1": "3", "2": "2", "3": "1"}
+        messages = {v.message for v in validate_mtc(parse_mtc(json.dumps(doc))).violations}
+        assert "N_{0,1}^1 = 0, expected 1" in messages
+        assert "N_{1,3}^0 = 0, expected 1" in messages
+
     def test_unit_twist_violation(self, fibonacci):
         doc = json.loads(gcrank.bundled_data_path("fibonacci.json").read_text())
         doc["twists"]["1"] = [1, 3]

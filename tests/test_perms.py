@@ -138,27 +138,29 @@ class TestIdentityComposeInverse:
 
 class TestCycleDecomposition:
     def test_identity_all_fixed(self):
-        dec = cycle_decomposition(identity(4))
-        assert dec.cycles == ((0,), (1,), (2,), (3,))
+        assert cycle_decomposition(identity(4)) == ((0,), (1,), (2,), (3,))
 
     def test_two_transpositions(self):
-        dec = cycle_decomposition(parse_cycles("(1 2)(3 4)", 4))
-        assert dec.cycles == ((0, 1), (2, 3))
+        assert cycle_decomposition(parse_cycles("(1 2)(3 4)", 4)) == ((0, 1), (2, 3))
 
     def test_three_cycle_plus_fixed_point(self):
-        dec = cycle_decomposition(parse_cycles("(1 2 3)", 4))
-        assert sorted(len(c) for c in dec.cycles) == [1, 3]
-        assert len(dec.cycles) == 2
+        cycles = cycle_decomposition(parse_cycles("(1 2 3)", 4))
+        assert sorted(len(c) for c in cycles) == [1, 3]
+        assert len(cycles) == 2
 
     def test_cycles_partition_points(self):
         p = parse_cycles("(1 4)(2 5 3)", 6)
-        dec = cycle_decomposition(p)
-        assert sorted(pt for c in dec.cycles for pt in c) == list(range(6))
-        assert sum(len(c) for c in dec.cycles) == 6
+        cycles = cycle_decomposition(p)
+        assert sorted(pt for c in cycles for pt in c) == list(range(6))
+        assert sum(len(c) for c in cycles) == 6
 
     @given(any_permutation())
     def test_round_trip(self, p):
-        assert cycle_decomposition(p).to_permutation() == p
+        images = list(range(p.degree))
+        for cycle in cycle_decomposition(p):
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                images[a] = b
+        assert Permutation(tuple(images)) == p
 
 
 class TestCycleNotation:
@@ -209,6 +211,11 @@ class TestGenerateGroup:
     def test_empty_generators_give_trivial_group(self):
         group = generate_group(4, {})
         assert group.elements == (identity(4),)
+
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_degree_below_one_rejected(self, degree):
+        with pytest.raises(InvalidDegree, match=f"degree must be >= 1, got {degree}"):
+            generate_group(degree, {})
 
     def test_cyclic_group_is_powers_of_generator(self):
         c5 = parse_cycles("(1 2 3 4 5)", 5)
