@@ -36,7 +36,7 @@ from .wreath import (
     cycle_type_of,
     partitions,
     rank_polynomial_symmetric,
-    rank_wreath_cyclic_prime,
+    rank_wreath_cyclic,
     rank_wreath_subgroup,
     rank_wreath_symmetric,
 )

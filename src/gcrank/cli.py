@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 domain failure (validation, inconsistency),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -172,6 +173,19 @@ def _write_wreath_json(total: int, terms, rk: int, n: int, spec: str, order: int
     write("\n  ]\n}\n")
 
 
+@contextlib.contextmanager
+def _exact_ints():
+    """Lift the int->str digit limit (none before Python 3.10.7) for the
+    block only: totals print in full, and input files keep the guard."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(limit)
+
+
 def cmd_wreath(args) -> int:
     if (args.rk is None) == (args.mtc is None):
         raise ParseError("exactly one of --rk and --mtc is required")
@@ -187,45 +201,36 @@ def cmd_wreath(args) -> int:
     if args.closed_form:
         if spec != f"z{n}":
             raise ParseError("--closed-form applies only to --group z<n>")
-        total = wreath.rank_wreath_cyclic_prime(rk, n)
-        if args.json:
-            _print_json({
-                "rk": str(rk), "n": n, "group": spec,
-                "closed_form": True, "total_rank": str(total),
-            })
-        else:
-            print(f"rank of C wr Z_{n} at rk(C) = {rk}: {total}")
-        return 0
-
-    if spec == f"s{n}":
+        total = wreath.rank_wreath_cyclic(rk, n)
+    elif spec == f"s{n}":
         total, terms = wreath.rank_wreath_symmetric(rk, n)
         order = math.factorial(n)
     else:
         group = wreath.preset_group(args.group, n, cap=args.cap)
         total, terms = wreath.rank_wreath_subgroup(rk, group)
         order = group.order
-    if args.json:
-        _write_wreath_json(total, terms, rk, n, spec, order)
-    else:
-        cycle_type = wreath.cycle_type_formatter(n)
-        names = perms.point_names(n)  # once per run, not per class
-        rows = [
-            (
-                cycle_type(t.a),
-                perms.format_cycles(t.representative, names)
-                if t.representative is not None else "-",
-                str(t.class_size),
-                str(t.num_cycles),
-                str(t.contribution),
-            )
-            for t in terms
-        ]
-        _print_table(
-            ("cycle type", "representative", "class size", "cycles", "contribution"),
-            rows,
-        )
-        print(f"group order: {order}")
-        print(f"total rank:  {total}")
+    with _exact_ints():
+        if args.closed_form and args.json:
+            _print_json({"rk": str(rk), "n": n, "group": spec,
+                         "closed_form": True, "total_rank": str(total)})
+        elif args.closed_form:
+            print(f"rank of C wr Z_{n} at rk(C) = {rk}: {total}")
+        elif args.json:
+            _write_wreath_json(total, terms, rk, n, spec, order)
+        else:
+            cycle_type = wreath.cycle_type_formatter(n)
+            names = perms.point_names(n)  # once per run, not per class
+            rows = [
+                (cycle_type(t.a),
+                 perms.format_cycles(t.representative, names)
+                 if t.representative is not None else "-",
+                 str(t.class_size), str(t.num_cycles), str(t.contribution))
+                for t in terms
+            ]
+            _print_table(("cycle type", "representative", "class size", "cycles",
+                          "contribution"), rows)
+            print(f"group order: {order}")
+            print(f"total rank:  {total}")
     return 0
 
 
@@ -291,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True,
                    help='"s<n>", "a<n>", "z<n>", or cycle-notation generators')
     p.add_argument("--closed-form", action="store_true",
-                   help="use the prime-cyclic closed form (group must be z<n>)")
+                   help="use the necklace closed form (group must be z<n>)")
 
     p = sub.add_parser("poly", help="rank polynomial of the symmetric group S_n")
     p.add_argument("--n", type=int, required=True)

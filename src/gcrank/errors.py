@@ -80,9 +80,5 @@ class OutOfRange(UsageError):
     pass
 
 
-class NotPrime(UsageError):
-    pass
-
-
 class TooLarge(UsageError):
     pass

@@ -145,6 +145,8 @@ def decode_json(source: str | bytes):
         raise ParseError(f"invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} col {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer literal past the int->str digit limit
+        raise ParseError(f"invalid JSON: {exc}") from None
 
 
 def parse_mtc(source: str | bytes) -> ModularData:

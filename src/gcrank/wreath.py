@@ -8,16 +8,18 @@ small n exists to cross-check the shortcut against the general engine.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import perms
-from .errors import InconsistencyError, NotPrime, OutOfRange, ParseError, TooLarge
+from .errors import InconsistencyError, OutOfRange, ParseError, TooLarge
 from .mtc import ModularData
 from .perms import DEFAULT_GROUP_CAP, FiniteGroup, Permutation
 from .symmetry import GlobalSymmetry, build_symmetry
@@ -27,13 +29,13 @@ BRUTE_FORCE_CAP = 10**7
 
 
 def cycle_type_formatter(n: int):
-    """The text of a degree-n cycle type a, such as "1^2 3^1" (a_j > 0 only;
-    "-" for the empty type).  The "j^k" texts come from a table built once,
-    and a row picks its entries with ``itertools.compress``, without a
-    Python-level loop over its n entries."""
+    """The text of a degree-n cycle type a, such as "1^2 3^1" (a_j > 0 only).
+    The "j^k" texts come from a table built once, and a row picks its
+    entries with ``itertools.compress``, without a Python-level loop over
+    its n entries."""
     texts = [[f"{j}^{k}" for k in range(n // j + 1)] for j in range(1, n + 1)]
     join, pick, compress = " ".join, list.__getitem__, itertools.compress
-    return lambda a: join(map(pick, compress(texts, a), compress(a, a))) or "-"
+    return lambda a: join(map(pick, compress(texts, a), compress(a, a)))
 
 
 def _check_degree(n: int) -> None:
@@ -118,20 +120,13 @@ def rank_polynomial_symmetric(n: int) -> RankPolynomial:
     return RankPolynomial(tuple(coeffs))
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            return False
-    return True
-
-
-def rank_wreath_cyclic_prime(rk: int, n: int) -> int:
-    """Closed form rk^n + (n-1) rk for the cyclic group of prime order n."""
-    if not is_prime(n):
-        raise NotPrime(f"closed form requires n prime, got {n}")
-    return rk**n + (n - 1) * rk
+def rank_wreath_cyclic(rk: int, n: int) -> int:
+    """Necklace closed form for C wr Z_n: sum_{k<n} rk^gcd(k, n) (Polya
+    1937), each gcd counted once; rk^n + (n-1) rk for prime n."""
+    if n < 1:
+        raise OutOfRange(f"degree must be >= 1, got {n}")
+    gcds = Counter(math.gcd(k, n) for k in range(n))
+    return sum(count * rk**d for d, count in gcds.items())
 
 
 class ClassTerm(NamedTuple):
@@ -145,32 +140,34 @@ class ClassTerm(NamedTuple):
     contribution: int
 
 
+def _class_terms(rk: int, rows) -> tuple[int, list[ClassTerm]]:
+    """The total and the ClassTerms of class rows (a, representative, class
+    size); rk^c is computed once per cycle count c that occurs."""
+    power = functools.cache(rk.__pow__)
+    terms = []
+    for a, rep, size in rows:
+        c = sum(a)
+        terms.append(ClassTerm(a, rep, size, c, size * power(c)))
+    return sum(t.contribution for t in terms), terms
+
+
 def rank_wreath_subgroup(
     rk: int, group: FiniteGroup
 ) -> tuple[int, list[ClassTerm]]:
     """Total rank of C wr G for an explicitly materialized G <= S_n."""
-    terms = []
-    for cls in perms.conjugacy_classes(group).classes:
-        rep = group.elements[cls[0]]
-        a = cycle_type_of(rep)
-        c = sum(a)
-        terms.append(ClassTerm(a, rep, len(cls), c, len(cls) * rk**c))
-    return sum(t.contribution for t in terms), terms
+    classes = perms.conjugacy_classes(group).classes
+    reps = [group.elements[cls[0]] for cls in classes]
+    return _class_terms(rk, zip(map(cycle_type_of, reps), reps, map(len, classes)))
 
 
 def rank_wreath_symmetric(rk: int, n: int) -> tuple[int, list[ClassTerm]]:
     """Total rank of C wr S_n from cycle types; S_n is never materialized.
     InconsistencyError if the class sizes do not sum to n!."""
-    types = partitions(n)  # checks n before the power table is sized
-    powers = [rk**k for k in range(n + 1)]
-    terms = []
-    for a, size in types:
-        c = sum(a)
-        terms.append(ClassTerm(a, None, size, c, size * powers[c]))
+    total, terms = _class_terms(rk, ((a, None, size) for a, size in partitions(n)))
     order = sum(t.class_size for t in terms)
     if order != math.factorial(n):
         raise InconsistencyError(f"class sizes of S_{n} sum to {order}, not {n}!")
-    return sum(t.contribution for t in terms), terms
+    return total, terms
 
 
 def brute_force_wreath_rank(rk: int, group: FiniteGroup) -> int:

@@ -51,13 +51,15 @@ def test_criterion_1_paper_polynomials():
 def test_criterion_2_cyclic_closed_form_vs_brute_force():
     start = time.perf_counter()
     checked = 0
-    for n in (2, 3, 5, 7):
+    for n in range(1, 8):  # composite n = 4, 6 as well as the primes
         group = wreath.preset_group(f"z{n}", n)
         for r in range(1, 6):
             if r**n > 10**7:
                 continue
-            assert wreath.rank_wreath_cyclic_prime(r, n) == \
-                wreath.brute_force_wreath_rank(r, group), (r, n)
+            closed = wreath.rank_wreath_cyclic(r, n)
+            assert closed == wreath.brute_force_wreath_rank(r, group), (r, n)
+            if n in (2, 3, 5, 7):  # prime n: rk^n + (n-1) rk
+                assert closed == r**n + (n - 1) * r, (r, n)
             checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 30, f"sweep took {elapsed:.1f} s"
@@ -121,7 +123,7 @@ def test_criterion_5_worked_examples(toric_swap, ising):
     assert power.rank == 9
     squared = rank.rank_report(s)
     assert squared.total_rank == 12
-    assert squared.total_rank == wreath.rank_wreath_cyclic_prime(3, 2)
+    assert squared.total_rank == wreath.rank_wreath_cyclic(3, 2) == 3**2 + 3
     report_pass(5, "toric code + Z_2 gives ranks {4, 2}, total 6, orbits 3; "
                    "Ising x Ising + swap gives total 12")
 

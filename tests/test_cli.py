@@ -25,6 +25,25 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def int_digit_limit():
+    """The interpreter's int->str digit limit; None before Python 3.10.7."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else None
+
+
+def exact_text(value: int) -> str:
+    """str(value) with the int->str digit limit lifted for this call only."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return str(value)
+    finally:
+        set_limit(limit)
+
+
 class TestValidate:
     def test_bundled_ok(self, capsys):
         code, out, _ = run(capsys, "validate", "--mtc", ISING)
@@ -180,13 +199,50 @@ class TestWreath:
         assert code == 0
         assert "12" in out
 
-    def test_closed_form_composite_rejected(self, capsys):
-        code, _, err = run(
+    def test_closed_form_composite(self, capsys):
+        # necklace sum 3^4 + 3^1 + 3^2 + 3^1, as the Z_4 closure gives
+        code, out, _ = run(
             capsys, "wreath", "--rk", "3", "--n", "4", "--group", "z4",
             "--closed-form",
         )
-        assert code == 2
-        assert "prime" in err
+        assert code == 0
+        assert out == "rank of C wr Z_4 at rk(C) = 3: 96\n"
+        code, out, _ = run(capsys, "wreath", "--rk", "3", "--n", "4", "--group", "z4")
+        assert "total rank:  96\n" in out
+
+    def test_closed_form_degree_one(self, capsys):
+        code, out, _ = run(
+            capsys, "wreath", "--rk", "7", "--n", "1", "--group", "z1",
+            "--closed-form",
+        )
+        assert code == 0
+        assert out == "rank of C wr Z_1 at rk(C) = 7: 7\n"
+
+    def test_totals_print_past_the_int_digit_limit(self, capsys):
+        # 3^9013 has 4,301 digits, one past the default int->str limit
+        limit = int_digit_limit()
+        code, out, _ = run(
+            capsys, "wreath", "--rk", "3", "--n", "9013", "--group", "z9013",
+            "--closed-form",
+        )
+        assert (code, int_digit_limit()) == (0, limit)  # the limit is restored
+        total = 3**9013 + 9012 * 3  # 9013 is prime
+        assert out == f"rank of C wr Z_9013 at rk(C) = 3: {exact_text(total)}\n"
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_wreath_rows_print_past_the_int_digit_limit(self, capsys, as_json):
+        # (10^400)^12 has 4,801 digits
+        limit = int_digit_limit()
+        code, out, _ = run(
+            capsys, "wreath", "--rk", str(10**400), "--n", "12", "--group", "s12",
+            *(["--json"] if as_json else []),
+        )
+        assert (code, int_digit_limit()) == (0, limit)
+        total = exact_text(gcrank.rank_polynomial_symmetric(12).evaluate(10**400))
+        if as_json:
+            assert json.loads(out)["total_rank"] == total
+        else:
+            assert out.endswith(f"\ntotal rank:  {total}\n")
 
     def test_rk_and_mtc_both_rejected(self, capsys):
         code, _, _ = run(
@@ -269,7 +325,7 @@ EXIT_CODES = {
     "UnknownElement": 1, "ParseError": 2, "UnknownLabel": 2,
     "DuplicateLabel": 2, "InvalidRational": 2, "DualityViolation": 1,
     "NotAnAutomorphism": 1, "InconsistencyError": 1, "OutOfRange": 2,
-    "NotPrime": 2, "TooLarge": 2,
+    "TooLarge": 2,
 }
 ERROR_CLASSES = [
     cls for _, cls in inspect.getmembers(errors, inspect.isclass)

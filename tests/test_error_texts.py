@@ -8,12 +8,13 @@ which of two faults is reported first, fails here.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 import gcrank
-from gcrank import errors
+from gcrank import errors, perms, rank, symmetry
 from gcrank.cli import main
 from gcrank.perms import Permutation
 
@@ -33,6 +34,12 @@ CLI_CASES = {
     "closed-form-not-cyclic": (
         ["wreath", "--rk", "3", "--n", "5", "--group", "s5", "--closed-form"], None, 2,
         "error: --closed-form applies only to --group z<n>\n"),
+    "closed-form-degree-zero": (
+        ["wreath", "--rk", "3", "--n", "0", "--group", "z0", "--closed-form"], None, 2,
+        "error: degree must be >= 1, got 0\n"),
+    "closed-form-negative-degree": (
+        ["wreath", "--rk", "3", "--n", "-1", "--group", "z-1", "--closed-form"], None, 2,
+        "error: degree must be >= 1, got -1\n"),
     "top-level-not-object": (
         ["validate", "--mtc"], [FIB], 2,
         "error: top-level value must be an object\n"),
@@ -88,3 +95,58 @@ def test_library_error_text(name):
         call()
     assert type(info.value) is cls
     assert str(info.value) == message
+
+
+# An integer literal longer than the interpreter's int->str digit limit
+# (4300 digits by default, Python 3.10.7 and later) cannot be decoded.
+HUGE = "1" + "0" * 5000
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int->str digit limit before Python 3.10.7")
+@pytest.mark.parametrize("argv, doc", [
+    (["validate", "--mtc"], json.dumps(FIB).replace("[2, 5]", f"[{HUGE}, 5]")),
+    (["rank", "--sym"], json.dumps({"mtc": FIB, "generators": {"g": [1, 0]}})
+     .replace("[1, 0]", f"[{HUGE}, 0]")),
+], ids=["validate-mtc", "rank-sym"])
+def test_huge_integer_literal_is_a_parse_error(capsys, tmp_path, argv, doc):
+    assert HUGE in doc
+    path = tmp_path / "doc.json"
+    path.write_text(doc)
+    assert main([*argv, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid JSON: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+TORIC_SWAP = str(gcrank.bundled_data_path("toric_code_swap.json"))
+
+
+def test_group_element_failing_revalidation(capsys, monkeypatch):
+    """build_symmetry re-validates every element of the closure; a closure
+    that returns a unit-moving element although the generators all pass
+    fails with InconsistencyError."""
+    generate_group = symmetry.perms.generate_group
+
+    def broken_closure(degree, generators, cap):
+        return generate_group(degree, {"bad": perms.parse_cycles("(1 2)", degree)},
+                              cap=cap)
+
+    monkeypatch.setattr(symmetry.perms, "generate_group", broken_closure)
+    assert main(["rank", "--sym", TORIC_SWAP]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: group element (1 2) fails validation "
+                            "although all generators passed\n")
+
+
+def test_burnside_check_failing(capsys, monkeypatch):
+    """rank_report compares the fixed-point sum with |G| times the orbit
+    count; singleton orbits under the toric code swap give 2 * 4 != 6."""
+    monkeypatch.setattr(rank.perms, "orbits",
+                        lambda group: [frozenset({x}) for x in range(group.degree)])
+    assert main(["rank", "--sym", TORIC_SWAP]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: fixed-point sum 6 != |G| * orbit count 8\n"

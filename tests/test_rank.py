@@ -96,8 +96,8 @@ class TestRankReport:
         assert power.rank == 9
         assert sorted(report.per_element) == [3, 9]
         assert report.total_rank == 12
-        # matches the prime-cyclic formula at rk = 3
-        assert report.total_rank == wreath.rank_wreath_cyclic_prime(3, 2)
+        # matches the cyclic closed form at rk = 3
+        assert report.total_rank == wreath.rank_wreath_cyclic(3, 2)
 
     def test_identity_rank_equals_label_count(self, toric_swap):
         report = rank_report(toric_swap)

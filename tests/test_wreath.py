@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gcrank import perms, rank, wreath
 from gcrank.cli import main
-from gcrank.errors import NotPrime, OutOfRange, TooLarge
+from gcrank.errors import OutOfRange, TooLarge
 from gcrank.perms import Permutation, parse_cycles
 from gcrank.wreath import (
     brute_force_wreath_rank,
@@ -18,7 +18,7 @@ from gcrank.wreath import (
     preset_generators,
     preset_group,
     rank_polynomial_symmetric,
-    rank_wreath_cyclic_prime,
+    rank_wreath_cyclic,
     rank_wreath_subgroup,
     rank_wreath_symmetric,
 )
@@ -100,7 +100,6 @@ class TestPartitions:
         for a, _ in partitions(n):
             loop = " ".join(f"{j}^{aj}" for j, aj in enumerate(a, start=1) if aj)
             assert text(a) == loop
-        assert wreath.cycle_type_formatter(0)(()) == "-"
 
     def test_class_size_division_exact(self):
         # every class size divides n!; exercise a spread of n
@@ -199,30 +198,54 @@ class TestRankPolynomial:
 
 
 class TestCyclicPrime:
+    """For prime n the necklace sum is rk^n + (n-1) rk."""
+
     def test_n2(self):
-        assert rank_wreath_cyclic_prime(3, 2) == 12
+        assert rank_wreath_cyclic(3, 2) == 3**2 + 3 == 12
 
     def test_n3_matches_brute_force(self):
-        assert rank_wreath_cyclic_prime(2, 3) == 12
-        assert rank_wreath_cyclic_prime(2, 3) == brute_force_wreath_rank(
+        assert rank_wreath_cyclic(2, 3) == 2**3 + 2 * 2 == 12
+        assert rank_wreath_cyclic(2, 3) == brute_force_wreath_rank(
             2, preset_group("z3", 3)
         )
 
     def test_trivial_category(self):
-        for n in (2, 3, 5, 7, 11):
-            assert rank_wreath_cyclic_prime(1, n) == n
+        for n in (1, 2, 3, 4, 5, 6, 7, 11, 12):
+            assert rank_wreath_cyclic(1, n) == n
 
-    def test_composite_rejected(self):
-        for n in (1, 4, 6, 9):
-            with pytest.raises(NotPrime):
-                rank_wreath_cyclic_prime(3, n)
+    def test_composite_degrees(self):
+        # sum over k < n of 3^gcd(k, n), written out
+        assert rank_wreath_cyclic(3, 1) == 3
+        assert rank_wreath_cyclic(3, 4) == 3**4 + 3 + 3**2 + 3 == 96
+        assert rank_wreath_cyclic(3, 6) == 3**6 + 2 * 3 + 2 * 3**2 + 3**3 == 780
+        assert rank_wreath_cyclic(3, 9) == 3**9 + 6 * 3 + 2 * 3**3
 
     @pytest.mark.parametrize("n", [2, 3, 5, 7, 11, 13])
     def test_matches_cyclic_subgroup_path(self, n):
         group = preset_group(f"z{n}", n)
         for r in (1, 2, 5, 10):
             total, _ = rank_wreath_subgroup(r, group)
-            assert total == rank_wreath_cyclic_prime(r, n)
+            assert total == rank_wreath_cyclic(r, n) == r**n + (n - 1) * r
+
+
+class TestCyclicNecklace:
+    RANKS = (0, 1, 2, 5, 2**130)
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_matches_closure_and_brute_force(self, n):
+        # brute force costs rk^n * n tuple moves; 10^5 keeps the sweep to
+        # about a second (up to the oracle's own cap, 10^7, takes minutes)
+        group = preset_group(f"z{n}", n)
+        for r in self.RANKS:
+            total, _ = rank_wreath_subgroup(r, group)
+            assert rank_wreath_cyclic(r, n) == total, r
+            if r**n <= 10**5:
+                assert total == brute_force_wreath_rank(r, group), r
+
+    @pytest.mark.parametrize("n", [0, -1, -7])
+    def test_degree_below_one(self, n):
+        with pytest.raises(OutOfRange, match=f"^degree must be >= 1, got {n}$"):
+            rank_wreath_cyclic(3, n)
 
 
 class TestWreathSubgroup:
@@ -241,7 +264,7 @@ class TestWreathSubgroup:
     def test_five_cycle(self):
         total, _ = rank_wreath_subgroup(2, preset_group("z5", 5))
         assert total == 2**5 + 4 * 2 == 40
-        assert total == rank_wreath_cyclic_prime(2, 5)
+        assert total == rank_wreath_cyclic(2, 5)
 
     def test_symmetric_path_agrees_with_materialized(self):
         for n in (2, 3, 4, 5):
