@@ -74,7 +74,7 @@ def cmd_validate(args) -> int:
                 else:
                     _print_violations(f"generator {name}", gen_report)
         if ok:
-            order = perms.capped_order(mtc.rank, generators, cap=args.cap)
+            order = perms.group_order(mtc.rank, generators.values())
             doc["group_order"] = order
             if not args.json:
                 print(f"symmetry group order: {order}")
@@ -267,9 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, mtc=False, sym=False):
-        if mtc:
-            p.add_argument("--mtc", help="path to an MTC data file")
+    def common(p, sym=False):
+        p.add_argument("--mtc", help="path to an MTC data file")
         if sym:
             p.add_argument("--sym", help="path to a symmetry file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -279,18 +278,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="validate an MTC file and optional symmetry")
     p.add_argument("--mtc", required=True)
     p.add_argument("--sym")
-    common(p)
+    p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("rank", help="per-element and total extension ranks")
-    common(p, mtc=True, sym=True)
+    common(p, sym=True)
     p.add_argument("--by-class", action="store_true",
                    help="one row per conjugacy class")
 
     p = sub.add_parser("burnside", help="orbits and the two total-rank expressions")
-    common(p, mtc=True, sym=True)
+    common(p, sym=True)
 
     p = sub.add_parser("wreath", help="rank of the permutation extension C wr G")
-    common(p, mtc=True)
+    common(p)
     p.add_argument("--rk", type=int, help="base rank rk(C)")
     p.add_argument("--n", type=int, required=True, help="degree of the action")
     p.add_argument("--group", required=True,

@@ -61,8 +61,10 @@ class DualityViolation(GcrankError):
 
 class NotAnAutomorphism(GcrankError):
     def __init__(self, name, report):
-        msgs = "; ".join(v.message for v in report.violations)
-        super().__init__(f"generator {name!r} is not a fusion-ring automorphism: {msgs}")
+        first, *rest = report.violations
+        more = f" (and {len(rest)} more; validate --sym lists them)" if rest else ""
+        super().__init__(f"generator {name!r} is not a fusion-ring automorphism: "
+                         f"{first.message}{more}")
         self.name = name
         self.report = report
 

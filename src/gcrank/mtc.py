@@ -79,12 +79,6 @@ class ModularData:
         return [list(map(vector_id.__getitem__, row)) for row in packed], vector_id, terms, width
 
     @cached_property
-    def twist_ids(self) -> tuple[int, ...]:
-        """Each label's twist as a small id; labels share an id iff their twists are equal."""
-        ids: dict[Fraction, int] = {}
-        return tuple(ids.setdefault(t, len(ids)) for t in self.twists)
-
-    @cached_property
     def _positions(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self.labels)}
 

@@ -280,13 +280,11 @@ def factor_permutation(m: ModularData, n: int, sigma: Permutation) -> Permutatio
     return Permutation(tuple(images))
 
 
-def symmetric_power_symmetry(
-    m: ModularData, n: int, cap: int = DEFAULT_GROUP_CAP
-) -> tuple[ModularData, GlobalSymmetry]:
+def symmetric_power_symmetry(m: ModularData, n: int) -> tuple[ModularData, GlobalSymmetry]:
     """C^n with the full factor-permutation action of S_n, validated."""
     power = materialize_power(m, n)
     gens = preset_generators(f"s{n}", n)
     lifted = {
         name: factor_permutation(m, n, p) for name, p in gens.items()
     }
-    return power, build_symmetry(power, lifted, cap=cap)
+    return power, build_symmetry(power, lifted)

@@ -105,15 +105,39 @@ class TestValidate:
         assert code == 0
         assert json.loads(out)["group_order"] == 2
 
-    def test_cap_error_names_order_and_cap(self, capsys):
-        code, _, err = run(
-            capsys, "validate", "--mtc", TORIC, "--sym", TORIC_SWAP, "--cap", "1"
-        )
-        assert code == 1
-        assert "group order 2 exceeds cap of 1 elements" in err
+    def test_cap_is_not_an_option(self, capsys):
+        """validate builds no group, so it takes no cap."""
+        with pytest.raises(SystemExit) as exc_info:
+            main(["validate", "--mtc", TORIC, "--sym", TORIC_SWAP, "--cap", "1"])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: --cap 1" in capsys.readouterr().err
+
+    def test_order_above_default_cap_is_printed(self, capsys, tmp_path):
+        """Z_2^5 with trivial twists under GL(5, 2), order 9,999,360: validate
+        prints the order, rank refuses it at the default cap of 10^6."""
+        labels = [format(v, "05b") for v in range(32)]
+        mtc = {"name": "z2^5", "labels": labels, "unit": labels[0],
+               "fusion": [[labels[a], labels[b], labels[a ^ b], 1]
+                          for a in range(32) for b in range(32)],
+               "twists": {label: [0, 1] for label in labels}}
+        gens = {"rotate": [labels[(v << 1 | v >> 4) & 31] for v in range(32)],
+                "transvect": [labels[v ^ (v >> 1 & 1)] for v in range(32)]}
+        mtc_path, sym_path = tmp_path / "z2_5.json", tmp_path / "gl52.json"
+        mtc_path.write_text(json.dumps(mtc))
+        sym_path.write_text(json.dumps({"mtc": mtc, "generators": gens}))
+        code, out, _ = run(capsys, "validate", "--mtc", str(mtc_path), "--sym", str(sym_path))
+        assert code == 0
+        assert out.endswith("symmetry group order: 9999360\n")
+        code, _, err = run(capsys, "rank", "--sym", str(sym_path))
+        assert (code, err) == (1, "error: group order 9999360 exceeds cap of 1000000 elements\n")
 
 
 class TestRank:
+    def test_cap_error_names_order_and_cap(self, capsys):
+        code, _, err = run(capsys, "rank", "--sym", TORIC_SWAP, "--cap", "1")
+        assert code == 1
+        assert "group order 2 exceeds cap of 1 elements" in err
+
     def test_toric_swap_total(self, capsys):
         code, out, _ = run(capsys, "rank", "--sym", TORIC_SWAP)
         assert code == 0
@@ -308,7 +332,7 @@ class TestWreath:
 @pytest.mark.parametrize("cap", ["0", "-5"])
 @pytest.mark.parametrize("argv", [
     ["wreath", "--rk", "2", "--n", "3", "--group", "z3"],
-    ["validate", "--mtc", TORIC, "--sym", TORIC_SWAP],
+    ["rank", "--sym", TORIC_SWAP],
 ])
 def test_cap_below_one_is_usage_error(capsys, argv, cap):
     with pytest.raises(SystemExit) as exc_info:

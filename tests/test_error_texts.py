@@ -16,6 +16,7 @@ import pytest
 import gcrank
 from gcrank import errors, perms, rank, symmetry
 from gcrank.cli import main
+from gcrank.mtc import ValidationReport, Violation
 from gcrank.perms import Permutation
 
 FIB = json.loads(Path(gcrank.bundled_data_path("fibonacci.json")).read_text())
@@ -61,6 +62,10 @@ CLI_CASES = {
     "generator-not-string-or-list": (
         ["rank", "--sym"], {"mtc": FIB, "generators": {"g": 5}}, 2,
         "error: generator must be a string or a list, got 5\n"),
+    "generator-not-automorphism": (
+        ["rank", "--sym"], {"mtc": FIB, "generators": {"g": "(1 tau)"}}, 1,
+        "error: generator 'g' is not a fusion-ring automorphism: unit maps to 'tau', "
+        "must be fixed (and 8 more; validate --sym lists them)\n"),
     "symmetry-without-mtc": (
         ["rank", "--sym"], {"generators": {}}, 2,
         'error: symmetry file has no "mtc" field and none was supplied\n'),
@@ -86,6 +91,15 @@ LIBRARY_CASES = {
     "non-bijective-permutation": (lambda: Permutation((0, 0)), errors.GcrankError,
                                   "images (0, 0) are not a bijection"),
 }
+
+
+def test_not_an_automorphism_names_one_violation():
+    """The text names the first violation only; the report keeps them all."""
+    report = ValidationReport((Violation("unit", (0,), "unit maps to 'e', must be fixed"),))
+    exc = errors.NotAnAutomorphism("g", report)
+    assert str(exc) == ("generator 'g' is not a fusion-ring automorphism: "
+                        "unit maps to 'e', must be fixed")
+    assert exc.report is report
 
 
 @pytest.mark.parametrize("name", list(LIBRARY_CASES))
