@@ -14,8 +14,16 @@ B = (max N^2 * rank).bit_length(), and interns these vectors to small ids.
 and x⊗(y⊗z) is sum_w N_yz^w (x⊗w).  A slot of either side adds at most rank
 terms of at most max N^2 each, which is below 2^B, so no slot carries into
 the next: the sides are equal as integers exactly when they are equal slot
-by slot.  Each side is computed once per distinct vector, and only rows that
-differ are decoded into violations.  A label permutation g preserves N
+by slot.  Whole rows of products are summed at once, laid out in byte chunks
+of c = floor(rank B / 8) + 1 bytes: row w holds w⊗z in chunk z, column w holds
+x⊗w in chunk x.  For each distinct vector v = sum_w N_w w, sum_w N_w row_w
+holds v⊗z in chunk z for every z, and sum_w N_w column_w holds x⊗v in chunk
+x: one big-integer sum per distinct vector and side.  A chunk's value is
+below 2^(rank B) <= 2^(8 c), so no carry crosses a chunk either.  The left
+side of a pair (x, y) is then the byte string of x⊗y's left sum, the right
+side the chunks x of the right sums of the y⊗z joined in z order, and the
+two are compared whole; only pairs that differ are decoded into slots.
+A label permutation g preserves N
 exactly when sigma_g(x⊗y) = (g x)⊗(g y) for every pair, where sigma_g moves
 slot u to slot g(u): each slot holds one N < 2^B and sigma_g moves whole
 slots, so the integers are equal exactly when the slots are.
@@ -29,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from operator import mul
+from operator import itemgetter, mul
 from pathlib import Path
 
 from .errors import (
@@ -77,6 +85,12 @@ class ModularData:
                 v &= ~(mask << width * z)
             terms.append(tuple(zip(*slots)) or ((), ()))
         return [list(map(vector_id.__getitem__, row)) for row in packed], vector_id, terms, width
+
+    @cached_property
+    def entry_positions(self) -> dict[tuple[int, int, int], int]:
+        """The position of each fusion entry in ``fusion``'s order; ``fusion``
+        must not change after."""
+        return {key: i for i, key in enumerate(self.fusion)}
 
     @cached_property
     def _positions(self) -> dict[str, int]:
@@ -195,6 +209,7 @@ def mtc_from_doc(doc) -> ModularData:
             raise UnknownLabel(f"twists reference unknown labels {extra}")
         raise ParseError(f"twists missing for labels {missing}")
     twists = []
+    canon: dict[Fraction, Fraction] = {}  # equal twists as one object: tuples compare by identity
     for label in labels:
         pair = twists_doc[label]
         if not (isinstance(pair, list) and len(pair) == 2
@@ -203,7 +218,8 @@ def mtc_from_doc(doc) -> ModularData:
         num, den = pair
         if den == 0:
             raise InvalidRational(f"twist of {label!r} has denominator 0")
-        twists.append(Fraction(num, den) % 1)
+        twist = Fraction(num, den) % 1
+        twists.append(canon.setdefault(twist, twist))
 
     if "duals" in doc:
         duals_doc = doc["duals"]
@@ -258,7 +274,6 @@ def validate_mtc(m: ModularData) -> ValidationReport:
     n = m.fusion.get  # not the method ModularData.n: 3 rank^2 reads below
     product_id, vector_id, terms_of, width = m.product_table
     mask = (1 << width) - 1
-    vectors = list(vector_id)
 
     # unit laws
     for x in rng:
@@ -276,30 +291,34 @@ def validate_mtc(m: ModularData) -> ValidationReport:
                 ))
 
     # associativity on packed product vectors (see the module docstring):
-    # each side once per distinct vector, as ids of interned sums;
-    # (x⊗y)⊗z is sum_w N_xy^w (w⊗z) and x⊗(y⊗z) is sum_w N_yz^w (x⊗w)
-    packed = [list(map(vectors.__getitem__, row)) for row in product_id]
-    sums: dict[int, int] = {}
-
-    def side(row, terms) -> int:
-        v = sum(map(mul, terms[1], map(row.__getitem__, terms[0])))
-        return sums.setdefault(v, len(sums))
-
-    columns = list(zip(*packed))
-    left = [tuple(side(col, terms) for col in columns) for terms in terms_of]
-    right = [[side(row, terms) for terms in terms_of] for row in packed]
-    values = list(sums)
-    for x in rng:
-        right_of = right[x].__getitem__
-        for y in rng:
-            lhs = left[product_id[x][y]]
-            rhs = tuple(map(right_of, product_id[y]))
-            if lhs == rhs:
+    # (x⊗y)⊗z is sum_w N_xy^w (w⊗z) and x⊗(y⊗z) is sum_w N_yz^w (x⊗w).  Row w
+    # holds w⊗z in byte chunk z and column w holds x⊗w in chunk x, so one sum
+    # per distinct vector v gives v⊗z for every z (left) or x⊗v for every x (right)
+    rank = m.rank
+    chunk = rank * width // 8 + 1
+    cuts = [slice(k, k + chunk) for k in range(0, chunk * rank, chunk)]
+    as_bytes = [v.to_bytes(chunk, "little") for v in vector_id]
+    rows = [int.from_bytes(b"".join(map(as_bytes.__getitem__, row)), "little")
+            for row in product_id]
+    cols = [int.from_bytes(b"".join(map(as_bytes.__getitem__, col)), "little")
+            for col in zip(*product_id)]
+    left, right = ([sum(map(mul, ns, map(lines.__getitem__, us))).to_bytes(rank * chunk, "little")
+                    for us, ns in terms_of] for lines in (rows, cols))
+    # the right side of (x, y) is chunk x of right[y⊗z] for every z, gathered
+    # by one itemgetter per y, joined and compared with left[x⊗y] as a whole
+    gathers = [itemgetter(*row) for row in product_id]
+    join = b"".join if rank > 1 else bytes  # one index: itemgetter gives the chunk, no tuple
+    for x, cut in zip(rng, cuts):
+        right_x = [r[cut] for r in right]
+        for y, v, gather in zip(rng, product_id[x], gathers):
+            if left[v] == join(gather(right_x)):
                 continue
-            for z in rng:
-                if lhs[z] == rhs[z]:
+            for z, l_chunk, r_chunk in zip(rng, map(left[v].__getitem__, cuts),
+                                           map(right_x.__getitem__, product_id[y])):
+                if l_chunk == r_chunk:
                     continue
-                l_vec, r_vec = values[lhs[z]], values[rhs[z]]
+                l_vec = int.from_bytes(l_chunk, "little")
+                r_vec = int.from_bytes(r_chunk, "little")
                 for u in rng:
                     l = l_vec >> width * u & mask
                     r = r_vec >> width * u & mask

@@ -10,7 +10,7 @@ computed for a *purported* global symmetry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import lshift
+from operator import itemgetter, lshift
 from pathlib import Path
 
 from . import perms
@@ -34,9 +34,9 @@ class GlobalSymmetry:
 def validate_automorphism(m: ModularData, p: Permutation) -> ValidationReport:
     """Check that p preserves the unit, duals, fusion coefficients, and twists.
 
-    Duals and twists are compared label by label, fusion by product vector ids
-    (see ``mtc``); only when a pair differs are the fusion entries walked, in
-    file order, to list the violations of the pairs that differ."""
+    Duals and twists are compared as whole permuted tuples, fusion by product
+    vector ids (see ``mtc``); only what differs is walked label by label, or
+    entry by entry for the pairs whose products differ, to list violations."""
     if p.degree != m.rank:
         raise DegreeMismatch(
             f"permutation degree {p.degree} != number of labels {m.rank}"
@@ -51,20 +51,22 @@ def validate_automorphism(m: ModularData, p: Permutation) -> ValidationReport:
             f"unit maps to {lab[g[m.unit]]!r}, must be fixed",
         ))
 
-    dual = m.dual
-    for x in range(m.rank):
-        if g[dual[x]] != dual[g[x]]:
-            violations.append(Violation(
-                "dual", (x,),
-                f"dual of {lab[x]!r}: image of dual is {lab[g[dual[x]]]!r} "
-                f"but dual of image is {lab[dual[g[x]]]!r}",
-            ))
-        if m.twists[g[x]] != m.twists[x]:
-            violations.append(Violation(
-                "twist", (x,),
-                f"twist({lab[x]!r}) = {m.twists[x]} but "
-                f"twist({lab[g[x]]!r}) = {m.twists[g[x]]}",
-            ))
+    dual, twists = m.dual, m.twists
+    at_g = itemgetter(*g)  # at rank 1 a bare item: the loop runs and finds nothing
+    if at_g(twists) != twists or itemgetter(*dual)(g) != at_g(dual):
+        for x in range(m.rank):
+            if g[dual[x]] != dual[g[x]]:
+                violations.append(Violation(
+                    "dual", (x,),
+                    f"dual of {lab[x]!r}: image of dual is {lab[g[dual[x]]]!r} "
+                    f"but dual of image is {lab[dual[g[x]]]!r}",
+                ))
+            if twists[g[x]] != twists[x]:
+                violations.append(Violation(
+                    "twist", (x,),
+                    f"twist({lab[x]!r}) = {twists[x]} but "
+                    f"twist({lab[g[x]]!r}) = {twists[g[x]]}",
+                ))
 
     product_id, vector_id, terms, width = m.product_table
     shift = [width * u for u in g]  # sigma_g moves slot u to slot g(u)
@@ -76,21 +78,33 @@ def validate_automorphism(m: ModularData, p: Permutation) -> ValidationReport:
                for y, v, gy in zip(rng, row, g) if image[v] != g_row[gy]}
     if flagged:
         # N must agree on the support in both directions; triples with N = 0
-        # on both sides, and triples of pairs that agree, need no check.  Kept
-        # over decoding packed slots: that is mixed in speed and reorders output
+        # on both sides, and triples of pairs that agree, need no check.  The
+        # order is that of a walk over every fusion entry (x, y, z) in file
+        # order, taking (x, y, z) and then its preimage (g^-1 x, g^-1 y, g^-1 z),
+        # each triple once: a flagged (a, b) meets (a, b, c) at entry (a, b, c)
+        # and (a, b, g^-1 w) at entry (g a, g b, w).  Kept over decoding packed
+        # slots: that is mixed in speed and reorders output
         ginv = perms.inverse(p).images
+        position = m.entry_positions
+        candidates = []
+        for a, b in flagged:
+            candidates += [(position[a, b, c], 0, (a, b, c))
+                           for c in terms[product_id[a][b]][0]]
+            ga, gb = g[a], g[b]
+            candidates += [(position[ga, gb, w], 1, (a, b, ginv[w]))
+                           for w in terms[product_id[ga][gb]][0]]
+        candidates.sort()
         seen: set[tuple[int, int, int]] = set()
-        for (x, y, z) in m.fusion:
-            for (a, b, c) in ((x, y, z), (ginv[x], ginv[y], ginv[z])):
-                if (a, b) not in flagged or (a, b, c) in seen:
-                    continue
-                seen.add((a, b, c))
-                if m.n(g[a], g[b], g[c]) != m.n(a, b, c):
-                    violations.append(Violation(
-                        "fusion", (a, b, c),
-                        f"N_{{{lab[a]},{lab[b]}}}^{lab[c]} = {m.n(a, b, c)} but "
-                        f"N_{{{lab[g[a]]},{lab[g[b]]}}}^{lab[g[c]]} = {m.n(g[a], g[b], g[c])}",
-                    ))
+        for _, _, (a, b, c) in candidates:
+            if (a, b, c) in seen:
+                continue
+            seen.add((a, b, c))
+            if m.n(g[a], g[b], g[c]) != m.n(a, b, c):
+                violations.append(Violation(
+                    "fusion", (a, b, c),
+                    f"N_{{{lab[a]},{lab[b]}}}^{lab[c]} = {m.n(a, b, c)} but "
+                    f"N_{{{lab[g[a]]},{lab[g[b]]}}}^{lab[g[c]]} = {m.n(g[a], g[b], g[c])}",
+                ))
 
     return ValidationReport(tuple(violations))
 

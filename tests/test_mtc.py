@@ -130,6 +130,8 @@ ASSOCIATIVITY_RINGS = (
     + [wreath.materialize_power(_bundled("fibonacci"), n) for n in (2, 3, 4)]
     + [su2_level(k) for k in range(1, 13)]
     + [constant_ring(4, 10**6), random_ring(5, 10**6, seed=3)]
+    # rank 1: one index per product row, so itemgetter returns a bare item
+    + [constant_ring(1, 1), constant_ring(1, 3)]
 )
 
 

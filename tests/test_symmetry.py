@@ -103,6 +103,25 @@ MILLION_TORIC = (
 )
 
 
+def _unit_moved(m, automorphisms):
+    """m with its last automorphism changed to exchange the unit's image and
+    label 1's: the unit moves and many fusion entries disagree."""
+    images = list(automorphisms[-1].images)
+    images[m.unit], images[1] = images[1], images[m.unit]
+    return m, Permutation(tuple(images))
+
+
+# failing generators whose flagged pairs the fusion fallback walks
+FALLBACK_CASES = {
+    "fibonacci^3 unit moved": _unit_moved(*_power_automorphisms("fibonacci", 3)),
+    "ising^3 unit moved": _unit_moved(*AUTOMORPHISM_CASES[0]),
+} | {
+    f"ising2_doubled {name}": (m, p)
+    for m, generators in [load_symmetry(fixture_path("ising2_generators.json"))]
+    for name, p in generators.items()
+}
+
+
 @st.composite
 def broken_generators(draw):
     """An automorphism of Ising^3, Fibonacci^4 or toric code^2 (one entry at
@@ -237,6 +256,29 @@ class TestValidateAutomorphism:
             violations = list(validate_automorphism(m, p).violations)
             assert violations == reference_automorphism(m, p)
             assert len(violations) >= 100
+
+    @pytest.mark.parametrize("case", FALLBACK_CASES)
+    def test_flagged_pair_walk_equals_full_entry_walk(self, case):
+        # the fallback walks only the entries of flagged pairs; the reference
+        # walks every fusion entry and its preimage in file order
+        m, p = FALLBACK_CASES[case]
+        violations = list(validate_automorphism(m, p).violations)
+        assert violations == reference_automorphism(m, p)
+        fusion = [v for v in violations if v.rule == "fusion"]
+        assert len(fusion) >= (0 if case.endswith("swap_factors") else 40)
+
+    def test_duals_checked_when_twists_agree(self):
+        # Z_4 with every twist 0: a permutation can break duals alone, so
+        # the label loop must not wait for the twist tuples to differ
+        m = dataclasses.replace(gcrank.load_mtc(fixture_path("z4.json")),
+                                twists=(Fraction(0),) * 4)
+        rules = []
+        for images in itertools.permutations(range(4)):
+            p = Permutation(images)
+            violations = list(validate_automorphism(m, p).violations)
+            assert violations == reference_automorphism(m, p)
+            rules.append({v.rule for v in violations})
+        assert any("dual" in r for r in rules)
 
     @pytest.mark.parametrize("low,high", [(2, 3), (10**6 - 1, 10**6)])
     def test_slot_permuted_vectors(self, low, high):
