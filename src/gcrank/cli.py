@@ -86,20 +86,15 @@ def cmd_validate(args) -> int:
 def _render_rank_table(report: rank.RankReport, by_class: bool) -> None:
     s = report.symmetry
     # large groups are unreadable element-by-element
-    labels = s.mtc.labels
     if by_class or s.group.order > 50:
-        rows = [
-            (perms.format_cycles(s.group.elements[rep], labels), str(size), str(rk))
-            for rep, size, rk in report.per_class
-        ]
-        _print_table(("representative", "class size", "rank"), rows)
+        first, rows = "representative", report.per_class
     else:
-        rows = [
-            (perms.format_cycles(e, labels), str(report.class_sizes[i]),
-             str(report.per_element[i]))
-            for i, e in enumerate(s.group.elements)
-        ]
-        _print_table(("element", "class size", "rank"), rows)
+        first = "element"
+        rows = [(i, report.class_sizes[i], rk) for i, rk in enumerate(report.per_element)]
+    _print_table((first, "class size", "rank"), [
+        (perms.format_cycles(s.group.elements[i], s.mtc.labels), str(size), str(rk))
+        for i, size, rk in rows
+    ])
     print(f"group order: {s.group.order}")
     print(f"orbit count: {report.orbit_count}")
     print(f"total rank:  {report.total_rank}")

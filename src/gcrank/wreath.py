@@ -15,7 +15,6 @@ import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import perms
@@ -236,47 +235,31 @@ def preset_group(
 # -- materialized products for cross-checks --------------------------------
 
 def materialize_power(m: ModularData, n: int) -> ModularData:
-    """The n-fold product category's fusion data, with tuple labels.
-
-    Meant for small n only (the label count is rk^n)."""
-    tuples = list(itertools.product(range(m.rank), repeat=n))
-    index = {t: i for i, t in enumerate(tuples)}
-    labels = tuple("*".join(m.labels[i] for i in t) for t in tuples)
-    fusion: dict[tuple[int, int, int], int] = {}
-    for combo in itertools.product(m.fusion.items(), repeat=n):
-        xs = tuple(triple[0] for triple, _ in combo)
-        ys = tuple(triple[1] for triple, _ in combo)
-        zs = tuple(triple[2] for triple, _ in combo)
-        mult = math.prod(v for _, v in combo)
-        key = (index[xs], index[ys], index[zs])
-        fusion[key] = fusion.get(key, 0) + mult
-    unit = index[(m.unit,) * n]
-    dual = tuple(index[tuple(m.dual[i] for i in t)] for t in tuples)
-    twists = tuple(
-        sum((m.twists[i] for i in t), Fraction(0)) % 1 for t in tuples
-    )
-    return ModularData(
-        name=f"{m.name}^{n}",
-        labels=labels,
-        unit=unit,
-        fusion=fusion,
-        dual=dual,
-        twists=twists,
-    )
+    """The n-fold product category (n >= 1), labels "s*t*...": n - 1 steps of
+    P ⊠ C, whose label (s, t) is number s r + t (r = rk C); N, duals and
+    twists combine factor by factor.  Small n only: the label count is r^n."""
+    r = m.rank
+    labels, unit, fusion, dual, twists = m.labels, m.unit, dict(m.fusion), m.dual, m.twists
+    for _ in range(n - 1):
+        labels = tuple(f"{s}*{t}" for s in labels for t in m.labels)
+        unit = unit * r + m.unit
+        fusion = {(x * r + a, y * r + b, z * r + c): k * l
+                  for (x, y, z), k in fusion.items() for (a, b, c), l in m.fusion.items()}
+        dual = tuple(s * r + t for s in dual for t in m.dual)
+        twists = tuple((s + t) % 1 for s in twists for t in m.twists)
+    return ModularData(f"{m.name}^{n}", labels, unit, fusion, dual, twists)
 
 
 def factor_permutation(m: ModularData, n: int, sigma: Permutation) -> Permutation:
-    """The permutation of product labels moving factor i to slot sigma(i)."""
+    """The permutation of product labels moving factor i to slot sigma(i):
+    label (t_0, ..., t_{n-1}) = sum_i t_i r^(n-1-i) goes to sum_i t_i r^(n-1-sigma(i))."""
     if sigma.degree != n:
         raise OutOfRange(f"sigma has degree {sigma.degree}, expected {n}")
-    tuples = list(itertools.product(range(m.rank), repeat=n))
-    index = {t: i for i, t in enumerate(tuples)}
-    images = []
-    for t in tuples:
-        moved = [0] * n
-        for i, val in enumerate(t):
-            moved[sigma.images[i]] = val
-        images.append(index[tuple(moved)])
+    r = m.rank
+    images = [0]
+    for moved_to in sigma.images:  # factor i, outermost first, as labels are numbered
+        weight = r ** (n - 1 - moved_to)
+        images = [p + t * weight for p in images for t in range(r)]
     return Permutation(tuple(images))
 
 

@@ -1,6 +1,7 @@
 import argparse
 import inspect
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import gcrank
-from gcrank import cli, errors
+from gcrank import cli, errors, perms, rank, symmetry, wreath
 from gcrank.cli import main
+from gcrank.mtc import serialize_mtc
 
 from conftest import fixture_path
 
@@ -179,6 +181,29 @@ class TestRank:
         _, first, _ = run(capsys, "rank", "--sym", TORIC_SWAP, "--json")
         _, second, _ = run(capsys, "rank", "--sym", TORIC_SWAP, "--json")
         assert first == second
+
+    def test_groups_above_50_elements_print_classes(self, capsys, tmp_path):
+        # Fibonacci^5 under S_5: 120 elements, so one row per conjugacy class
+        fib = gcrank.load_mtc(FIB)
+        power = wreath.materialize_power(fib, 5)
+        (tmp_path / "fib5.json").write_text(serialize_mtc(power))
+        generators = {
+            name: [power.labels[i] for i in wreath.factor_permutation(fib, 5, p).images]
+            for name, p in wreath.preset_generators("s5", 5).items()
+        }
+        sym = tmp_path / "fib5_s5.json"
+        sym.write_text(json.dumps({"mtc": "fib5.json", "generators": generators}))
+        code, out, _ = run(capsys, "rank", "--sym", str(sym))
+        s = symmetry.build_symmetry(*symmetry.load_symmetry(sym))
+        assert code == 0 and s.group.order == 120
+        expected = [
+            [perms.format_cycles(s.group.elements[rep], s.mtc.labels), str(size), str(rk)]
+            for rep, size, rk in rank.rank_report(s).per_class
+        ]
+        lines = out.splitlines()
+        assert lines[0].split() == ["representative", "class", "size", "rank"]
+        assert [re.split(r" {2,}", line.rstrip()) for line in lines[1:-3]] == expected
+        assert len(expected) == 7  # the partitions of 5
 
 
 class TestBurnside:
@@ -450,6 +475,9 @@ MALFORMED = {
     "image-list-repeats-label": ("sym", _sym_bytes({"g": ["tau", "tau"]})),
     "inline-mtc-fusion-not-array": ("sym", _sym_bytes({}, {**FIB_DOC, "fusion": 5})),
     "sym-not-utf8": ("sym", b'{"generators": "\xff"}'),
+    "mtc-nested-too-deeply": ("mtc", b"[" * 200_000),
+    "generators-nested-too-deeply": ("sym", b'{"generators": ' + b"[" * 200_000 + b"}"),
+    "mtc-path-with-nul": ("sym", _sym_bytes({}, "a\u0000b.json")),
 }
 
 

@@ -78,6 +78,48 @@ def reference_associativity(m):
     return violations
 
 
+def reference_unit_and_duality(m):
+    """The unit-law and duality violations of ``validate_mtc`` by the
+    ``fusion.get`` loops it ran before reading the product table, in the
+    same order and wording."""
+    violations = []
+    rng = range(m.rank)
+    lab = m.labels
+    unit_label = lab[m.unit]
+    n = m.fusion.get
+    for x in rng:
+        for y in rng:
+            want = 1 if x == y else 0
+            if n((m.unit, x, y), 0) != want:
+                violations.append(Violation(
+                    "unit-law", (m.unit, x, y),
+                    f"N_{{{unit_label},{lab[x]}}}^{lab[y]} = {n((m.unit, x, y), 0)}, expected {want}",
+                ))
+            if n((x, m.unit, y), 0) != want:
+                violations.append(Violation(
+                    "unit-law", (x, m.unit, y),
+                    f"N_{{{lab[x]},{unit_label}}}^{lab[y]} = {n((x, m.unit, y), 0)}, expected {want}",
+                ))
+    for x in rng:
+        for y in rng:
+            want = 1 if y == m.dual[x] else 0
+            got = n((x, y, m.unit), 0)
+            if got != want:
+                violations.append(Violation(
+                    "duality", (x, y),
+                    f"N_{{{lab[x]},{lab[y]}}}^{unit_label} = {got}, expected {want}",
+                ))
+        if m.dual[m.dual[x]] != x:
+            violations.append(Violation(
+                "duality", (x,),
+                f"dual is not an involution at {lab[x]!r}",
+            ))
+    if m.dual[m.unit] != m.unit:
+        violations.append(Violation(
+            "duality", (m.unit,), "dual of the unit is not the unit"))
+    return violations
+
+
 def su2_level(k):
     """SU(2)_k: spins 0..k/2 as labels "0".."k", truncated Clebsch-Gordan
     fusion, all self-dual, twists h_j = j(j+2)/4(k+2) mod 1."""
@@ -157,6 +199,10 @@ def edited_rings(draw):
 
 def associativity_violations(m):
     return [v for v in validate_mtc(m).violations if v.rule == "associativity"]
+
+
+def unit_and_duality_violations(m):
+    return [v for v in validate_mtc(m).violations if v.rule in ("unit-law", "duality")]
 
 
 def reference_fusion(entries, labels):
@@ -322,11 +368,21 @@ class TestValidate:
     @pytest.mark.parametrize("m", ASSOCIATIVITY_RINGS, ids=lambda m: m.name)
     def test_associativity_equals_reference(self, m):
         assert associativity_violations(m) == reference_associativity(m)
+        assert unit_and_duality_violations(m) == reference_unit_and_duality(m)
 
     @given(edited_rings())
     @settings(max_examples=120, deadline=None, derandomize=True)
     def test_edited_associativity_equals_reference(self, m):
         assert associativity_violations(m) == reference_associativity(m)
+        assert unit_and_duality_violations(m) == reference_unit_and_duality(m)
+
+    @pytest.mark.parametrize("m", [constant_ring(4, 10**6), random_ring(5, 10**6, seed=3)],
+                             ids=lambda m: m.name)
+    def test_large_multiplicities_fire_unit_and_duality(self, m):
+        found = unit_and_duality_violations(m)
+        assert {v.rule for v in found} == {"unit-law", "duality"}
+        # slots far above 1 are decoded whole, not only tested against 0 and 1
+        assert max(int(v.message.split(" = ")[1].split(",")[0]) for v in found) > 10**5
 
     def test_violations_at_the_slot_width_bound(self):
         # one entry lowered by 1 in the constant ring: the sides differ in

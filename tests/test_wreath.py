@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from gcrank import perms, rank, wreath
 from gcrank.cli import main
 from gcrank.errors import OutOfRange, TooLarge
+from gcrank.mtc import ModularData
 from gcrank.perms import Permutation, parse_cycles
 from gcrank.wreath import (
     brute_force_wreath_rank,
@@ -353,7 +355,64 @@ class TestPresets:
             preset_generators("s9", 4)
 
 
+def reference_materialize_power(m, n):
+    """``materialize_power`` by its former walk over n-tuples of fusion
+    entries, with a tuple -> label index dict."""
+    tuples = list(itertools.product(range(m.rank), repeat=n))
+    index = {t: i for i, t in enumerate(tuples)}
+    labels = tuple("*".join(m.labels[i] for i in t) for t in tuples)
+    fusion = {}
+    for combo in itertools.product(m.fusion.items(), repeat=n):
+        xs = tuple(triple[0] for triple, _ in combo)
+        ys = tuple(triple[1] for triple, _ in combo)
+        zs = tuple(triple[2] for triple, _ in combo)
+        mult = math.prod(v for _, v in combo)
+        key = (index[xs], index[ys], index[zs])
+        fusion[key] = fusion.get(key, 0) + mult
+    unit = index[(m.unit,) * n]
+    dual = tuple(index[tuple(m.dual[i] for i in t)] for t in tuples)
+    twists = tuple(sum((m.twists[i] for i in t), Fraction(0)) % 1 for t in tuples)
+    return ModularData(f"{m.name}^{n}", labels, unit, fusion, dual, twists)
+
+
+def reference_factor_permutation(m, n, sigma):
+    """``factor_permutation`` by moving each label tuple and looking it up."""
+    tuples = list(itertools.product(range(m.rank), repeat=n))
+    index = {t: i for i, t in enumerate(tuples)}
+    images = []
+    for t in tuples:
+        moved = [0] * n
+        for i, val in enumerate(t):
+            moved[sigma.images[i]] = val
+        images.append(index[tuple(moved)])
+    return Permutation(tuple(images))
+
+
+POWER_CASES = ([("ising", n) for n in range(1, 5)] + [("fibonacci", n) for n in range(1, 7)]
+               + [("toric_code", n) for n in range(1, 4)])
+
+
 class TestMaterializedPower:
+    @pytest.mark.parametrize("base, n", POWER_CASES)
+    def test_power_equals_reference(self, request, base, n):
+        m = request.getfixturevalue(base)
+        power, ref = wreath.materialize_power(m, n), reference_materialize_power(m, n)
+        for field in ("name", "labels", "unit", "dual", "twists"):
+            assert getattr(power, field) == getattr(ref, field), field
+        assert list(power.fusion.items()) == list(ref.fusion.items())
+
+    def test_first_power_copies_fusion(self, ising):
+        power = wreath.materialize_power(ising, 1)
+        assert power.fusion == ising.fusion and power.fusion is not ising.fusion
+
+    @pytest.mark.parametrize("base, n", [(b, n) for b, n in POWER_CASES if n <= 4])
+    def test_factor_permutation_equals_reference(self, request, base, n):
+        m = request.getfixturevalue(base)
+        for images in itertools.permutations(range(n)):
+            sigma = Permutation(images)
+            assert (wreath.factor_permutation(m, n, sigma)
+                    == reference_factor_permutation(m, n, sigma))
+
     def test_ising_squared_shape(self, ising):
         power = wreath.materialize_power(ising, 2)
         assert power.rank == 9
