@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import sys
@@ -142,30 +143,30 @@ def cmd_burnside(args) -> int:
     return 0
 
 
-def _write_wreath_json(total: int, terms, rk: int, n: int, spec: str, order: int):
+def _write_wreath_json(total: int, rows, rk: int, n: int, spec: str, order: int):
     """Write, one row at a time, the bytes of ``json.dumps(doc, indent=2,
-    ensure_ascii=False)`` for the wreath document (``terms`` is never empty:
-    the identity is a class, and n >= 1, so no cycle type is empty)."""
+    ensure_ascii=False)`` for the wreath document.  ``rows`` yields (entries,
+    representative, class size, cycle count, contribution) per class, entries
+    being the cycle type as comma text such as "2,0,1,0"; there is always a
+    row (the identity), and n >= 1, so no entries text is empty.  A
+    representative is digits, "^", "(", ")" and spaces: nothing to escape."""
     write = sys.stdout.write
     write(f'{{\n  "rk": "{rk}",\n  "n": {n},\n  "group": {encode_basestring(spec)},'
           f'\n  "group_order": {order},\n  "total_rank": "{total}",\n  "per_class": [')
-    digit = [str(i) for i in range(n + 1)].__getitem__  # a_j <= n
-    # rows without a representative (all of them, or none) show their cycle type
-    cycle_type = (wreath.cycle_type_formatter(n) if terms[0].representative is None
-                  else None)
-    names = perms.point_names(n)  # once per run, not per class
-    entries = ",\n        ".join
+    comma = ",\n        "
     sep = "\n"
-    for t in terms:
-        a = f"[\n        {entries(map(digit, t.a))}\n      ]"
-        rep = (perms.format_cycles(t.representative, names)
-               if t.representative is not None else cycle_type(t.a))
-        write(f'{sep}    {{\n      "cycle_type": {a},\n      "representative": '
-              f'{encode_basestring(rep)},\n      "class_size": "{t.class_size}",'
-              f'\n      "num_cycles": {t.num_cycles},\n      "contribution": '
-              f'"{t.contribution}"\n    }}')
+    for entries, rep, size, cycles, contribution in rows:
+        write(f'{sep}    {{\n      "cycle_type": [\n        {entries.replace(",", comma)}'
+              f'\n      ],\n      "representative": "{rep}",'
+              f'\n      "class_size": "{size}",\n      "num_cycles": {cycles},'
+              f'\n      "contribution": "{contribution}"\n    }}')
         sep = ",\n"
     write("\n  ]\n}\n")
+
+
+def _cycle_type_text(a: tuple[int, ...]) -> str:
+    """"1^2 3^1" for a = (2, 0, 1, 0), from the nonzero entries only."""
+    return " ".join(f"{j}^{a[j - 1]}" for j in itertools.compress(itertools.count(1), a))
 
 
 @contextlib.contextmanager
@@ -193,17 +194,20 @@ def cmd_wreath(args) -> int:
     n = args.n
     spec = args.group.strip().lower()
 
+    symmetric = spec == f"s{n}"
     if args.closed_form:
         if spec != f"z{n}":
             raise ParseError("--closed-form applies only to --group z<n>")
         total = wreath.rank_wreath_cyclic(rk, n)
-    elif spec == f"s{n}":
-        total, terms = wreath.rank_wreath_symmetric(rk, n)
-        order = math.factorial(n)
+    elif symmetric:
+        # written from the walk's rows and texts; no ClassTerm per class
+        classes, contributions = wreath.symmetric_classes(rk, n)
+        total, order = sum(contributions), math.factorial(n)
     else:
         group = wreath.preset_group(args.group, n, cap=args.cap)
         total, terms = wreath.rank_wreath_subgroup(rk, group)
         order = group.order
+        names = perms.point_names(n)  # once per run, not per class
     with _exact_ints():
         if args.closed_form and args.json:
             _print_json({"rk": str(rk), "n": n, "group": spec,
@@ -211,17 +215,22 @@ def cmd_wreath(args) -> int:
         elif args.closed_form:
             print(f"rank of C wr Z_{n} at rk(C) = {rk}: {total}")
         elif args.json:
-            _write_wreath_json(total, terms, rk, n, spec, order)
+            if symmetric:  # the cycle type's text stands in for a representative
+                rows = ((entries, text, size, c, x) for (_, size, c, text, entries), x
+                        in zip(classes, contributions))
+            else:
+                digit = [str(i) for i in range(n + 1)].__getitem__  # a_j <= n
+                rows = ((",".join(map(digit, t.a)), perms.format_cycles(t.representative, names),
+                         t.class_size, t.num_cycles, t.contribution) for t in terms)
+            _write_wreath_json(total, rows, rk, n, spec, order)
         else:
-            cycle_type = wreath.cycle_type_formatter(n)
-            names = perms.point_names(n)  # once per run, not per class
-            rows = [
-                (cycle_type(t.a),
-                 perms.format_cycles(t.representative, names)
-                 if t.representative is not None else "-",
-                 str(t.class_size), str(t.num_cycles), str(t.contribution))
-                for t in terms
-            ]
+            if symmetric:
+                rows = [(text, "-", str(size), str(c), str(x)) for (_, size, c, text, _), x
+                        in zip(classes, contributions)]
+            else:
+                rows = [(_cycle_type_text(t.a), perms.format_cycles(t.representative, names),
+                         str(t.class_size), str(t.num_cycles), str(t.contribution))
+                        for t in terms]
             _print_table(("cycle type", "representative", "class size", "cycles",
                           "contribution"), rows)
             print(f"group order: {order}")

@@ -335,17 +335,20 @@ def validate_mtc(m: ModularData) -> ValidationReport:
                             f"but ({lab[x]} ({lab[y]} {lab[z]}) -> {lab[u]}) = {r}",
                         ))
 
-    # duality: N_xy^unit is the unit slot of x⊗y
+    # duality: N_xy^unit is the unit slot of x⊗y; the row of these over y
+    # must be one-hot at dual(x), and y is walked only when it is not
     at_unit = [v >> width * m.unit & mask for v in vectors]
     for x in rng:
-        for y, v in zip(rng, product_id[x]):
-            want = 1 if y == m.dual[x] else 0
-            got = at_unit[v]
-            if got != want:
-                violations.append(Violation(
-                    "duality", (x, y),
-                    f"N_{{{lab[x]},{lab[y]}}}^{unit_label} = {got}, expected {want}",
-                ))
+        got_row = list(map(at_unit.__getitem__, product_id[x]))
+        want_row = [0] * rank
+        want_row[m.dual[x]] = 1
+        if got_row != want_row:
+            for y, got, want in zip(rng, got_row, want_row):
+                if got != want:
+                    violations.append(Violation(
+                        "duality", (x, y),
+                        f"N_{{{lab[x]},{lab[y]}}}^{unit_label} = {got}, expected {want}",
+                    ))
         if m.dual[m.dual[x]] != x:
             violations.append(Violation(
                 "duality", (x,),

@@ -27,47 +27,60 @@ PARTITION_CAP = 60
 BRUTE_FORCE_CAP = 10**7
 
 
-def cycle_type_formatter(n: int):
-    """The text of a degree-n cycle type a, such as "1^2 3^1" (a_j > 0 only).
-    The "j^k" texts come from a table built once, and a row picks its
-    entries with ``itertools.compress``, without a Python-level loop over
-    its n entries."""
-    texts = [[f"{j}^{k}" for k in range(n // j + 1)] for j in range(1, n + 1)]
-    join, pick, compress = " ".join, list.__getitem__, itertools.compress
-    return lambda a: join(map(pick, compress(texts, a), compress(a, a)))
-
-
 def _check_degree(n: int) -> None:
     if not 1 <= n <= PARTITION_CAP:
         raise OutOfRange(f"n must be in 1..{PARTITION_CAP}, got {n}")
 
 
-def partitions(n: int) -> list[tuple[tuple[int, ...], int]]:
-    """(a, class size) for all p(n) cycle types a = (a_1, ..., a_n), a_j the
-    number of j-cycles, in reverse-lexicographic order on a: a_1 from its
-    largest value down, then a_2, and so on.  A branch is taken only if what
-    is left is 0 or can be made of parts longer than j, so every a has
-    sum_j j a_j = n; its class size is n! / prod_j j^(a_j) a_j!, exact."""
+def partitions(n: int) -> list[tuple[tuple[int, ...], int, int, str, str]]:
+    """(a, class size, cycle count, text, entries) for all p(n) cycle types
+    a = (a_1, ..., a_n), a_j the number of j-cycles, in reverse-lexicographic
+    order on a: a_1 from its largest value down, then a_2, and so on.  text
+    is "1^2 3^1" (the a_j > 0 only) and entries "2,0,1,0" (every a_j).
+
+    The walk goes over distinct part sizes (Knuth, TAOCP 4A 7.2.1.4): after
+    parts up to j, the next size k runs upward from j + 1 with a_k counting
+    down, and the single part ``rest`` comes last.  A branch is taken only
+    if what is left is 0 or more than k, so every call adds one nonzero
+    part and every a has sum_j j a_j = n.  Each call extends the class-size
+    denominator prod_j j^(a_j) a_j!, the cycle count and both texts by that
+    part, from tables built once.  Class sizes n! / denominator are exact."""
     _check_degree(n)
     fact_n = math.factorial(n)
     a = [0] * n
-    types = []
+    zeros = ["0," * g for g in range(n)]  # a_j = 0 before a part
+    tails = [",0" * g for g in range(n)]  # a_j = 0 after the largest part
+    # parts[k][m]: the denominator factor k^m m!, the text "k^m" and str(m)
+    parts = [None] + [[(k**m * math.factorial(m), f"{k}^{m}", str(m))
+                       for m in range(n // k + 1)] for k in range(1, n + 1)]
+    rows = []
+    append = rows.append
 
-    def fill(j: int, rest: int, denom: int) -> None:
-        for aj in range(rest // j, -1, -1):
-            left = rest - j * aj
-            if 0 < left <= j:
-                continue
-            a[j - 1] = aj
-            d = denom * j**aj * math.factorial(aj) if aj else denom
-            if left:
-                fill(j + 1, left, d)
-            else:
-                types.append((tuple(a), fact_n // d))
-        a[j - 1] = 0
+    def walk(j: int, rest: int, denom: int, cycles: int, text: str, entries: str) -> None:
+        # parts longer than j make up rest > j; text and entries end in a
+        # separator unless they are empty
+        for k in range(j + 1, rest // 2 + 1):
+            before = entries + zeros[k - j - 1]
+            top, left = divmod(rest, k)
+            table = parts[k]
+            if not left:  # a_k = top leaves 0, and a_k = top - 1 leaves k
+                a[k - 1] = top
+                factor, part, digits = table[top]
+                append((tuple(a), fact_n // (denom * factor), cycles + top, f"{text}{part}",
+                        f"{before}{digits}{tails[n - k]}"))
+            for ak in range(top - 1 - (not left), 0, -1):  # leaves more than k
+                a[k - 1] = ak
+                factor, part, digits = table[ak]
+                walk(k, rest - k * ak, denom * factor, cycles + ak, f"{text}{part} ",
+                     f"{before}{digits},")
+            a[k - 1] = 0
+        a[rest - 1] = 1
+        append((tuple(a), fact_n // (denom * rest), cycles + 1, f"{text}{rest}^1",
+                f"{entries}{zeros[rest - j - 1]}1{tails[n - rest]}"))
+        a[rest - 1] = 0
 
-    fill(1, n, 1)
-    return types
+    walk(0, n, 1, 0, "", "")
+    return rows
 
 
 def cycle_type_of(p: Permutation) -> tuple[int, ...]:
@@ -139,34 +152,40 @@ class ClassTerm(NamedTuple):
     contribution: int
 
 
-def _class_terms(rk: int, rows) -> tuple[int, list[ClassTerm]]:
-    """The total and the ClassTerms of class rows (a, representative, class
-    size); rk^c is computed once per cycle count c that occurs."""
-    power = functools.cache(rk.__pow__)
-    terms = []
-    for a, rep, size in rows:
-        c = sum(a)
-        terms.append(ClassTerm(a, rep, size, c, size * power(c)))
-    return sum(t.contribution for t in terms), terms
-
-
 def rank_wreath_subgroup(
     rk: int, group: FiniteGroup
 ) -> tuple[int, list[ClassTerm]]:
-    """Total rank of C wr G for an explicitly materialized G <= S_n."""
-    classes = perms.conjugacy_classes(group).classes
-    reps = [group.elements[cls[0]] for cls in classes]
-    return _class_terms(rk, zip(map(cycle_type_of, reps), reps, map(len, classes)))
+    """Total rank of C wr G for an explicitly materialized G <= S_n; rk^c is
+    computed once per cycle count c that occurs."""
+    power = functools.cache(rk.__pow__)
+    terms = []
+    for cls in perms.conjugacy_classes(group).classes:
+        rep = group.elements[cls[0]]
+        a = cycle_type_of(rep)
+        c = sum(a)
+        terms.append(ClassTerm(a, rep, len(cls), c, len(cls) * power(c)))
+    return sum(t.contribution for t in terms), terms
+
+
+def symmetric_classes(rk: int, n: int) -> tuple[list, list[int]]:
+    """The rows of ``partitions(n)`` and each class's contribution, class
+    size * rk^(cycle count).  InconsistencyError if the class sizes do not
+    sum to n!, raised before any contribution is computed."""
+    rows = partitions(n)
+    order = sum(row[1] for row in rows)
+    if order != math.factorial(n):
+        raise InconsistencyError(f"class sizes of S_{n} sum to {order}, not {n}!")
+    powers = list(itertools.accumulate(itertools.repeat(rk, n), operator.mul, initial=1))
+    return rows, [row[1] * powers[row[2]] for row in rows]
 
 
 def rank_wreath_symmetric(rk: int, n: int) -> tuple[int, list[ClassTerm]]:
     """Total rank of C wr S_n from cycle types; S_n is never materialized.
     InconsistencyError if the class sizes do not sum to n!."""
-    total, terms = _class_terms(rk, ((a, None, size) for a, size in partitions(n)))
-    order = sum(t.class_size for t in terms)
-    if order != math.factorial(n):
-        raise InconsistencyError(f"class sizes of S_{n} sum to {order}, not {n}!")
-    return total, terms
+    rows, contributions = symmetric_classes(rk, n)
+    terms = [ClassTerm(a, None, size, c, x)
+             for (a, size, c, *_), x in zip(rows, contributions)]
+    return sum(contributions), terms
 
 
 def brute_force_wreath_rank(rk: int, group: FiniteGroup) -> int:

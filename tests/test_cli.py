@@ -337,6 +337,19 @@ class TestWreath:
         assert out == ""
         assert "class sizes of S_4 sum to 23, not 4!" in err
 
+    def test_symmetric_order_checked_before_json_is_written(self, capsys, monkeypatch):
+        partitions = cli.wreath.partitions
+
+        def without_identity(n):
+            return partitions(n)[1:]
+
+        monkeypatch.setattr(cli.wreath, "partitions", without_identity)
+        code, out, err = run(capsys, "wreath", "--rk", "2", "--n", "4", "--group", "s4",
+                             "--json")
+        assert code == 1
+        assert out == ""
+        assert "class sizes of S_4 sum to 23, not 4!" in err
+
     @pytest.mark.parametrize("n", ["0", "-1"])
     @pytest.mark.parametrize("group", [",", "()", "z1", "a3"])
     def test_degree_below_one_is_usage_error(self, capsys, group, n):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gcrank import perms, rank, wreath
+from gcrank import cli, perms, rank, wreath
 from gcrank.cli import main
 from gcrank.errors import OutOfRange, TooLarge
 from gcrank.mtc import ModularData
@@ -45,6 +45,30 @@ def partition_count(n):
     return counts[n]
 
 
+def reference_partitions(n):
+    """(a, class size) for the cycle types of S_n by the dense recursion the
+    walk replaced: one call per j <= n, a_j from its largest value down."""
+    fact_n = math.factorial(n)
+    a = [0] * n
+    types = []
+
+    def fill(j, rest, denom):
+        for aj in range(rest // j, -1, -1):
+            left = rest - j * aj
+            if 0 < left <= j:
+                continue
+            a[j - 1] = aj
+            d = denom * j**aj * math.factorial(aj)
+            if left:
+                fill(j + 1, left, d)
+            else:
+                types.append((tuple(a), fact_n // d))
+        a[j - 1] = 0
+
+    fill(1, n, 1)
+    return types
+
+
 def count_s_n_by_cycle_type(n):
     """Brute-force census of S_n elements grouped by cycle type."""
     census = {}
@@ -60,29 +84,29 @@ class TestPartitions:
 
     def test_double_transposition_class_size(self):
         # a = (0, 2, 0, 0): 4! / (2^2 * 2!) = 3
-        assert ((0, 2, 0, 0), 3) in partitions(4)
+        assert ((0, 2, 0, 0), 3) in [r[:2] for r in partitions(4)]
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_class_sizes_sum_to_factorial(self, n):
-        assert sum(size for _, size in partitions(n)) == math.factorial(n)
+        assert sum(size for _, size, *_ in partitions(n)) == math.factorial(n)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_class_sizes_match_brute_force_census(self, n):
         census = count_s_n_by_cycle_type(n)
-        for a, size in partitions(n):
+        for a, size, *_ in partitions(n):
             assert census[a] == size
 
     def test_reverse_lexicographic_order(self):
-        types = [a for a, _ in partitions(4)]
+        types = [a for a, *_ in partitions(4)]
         assert types == sorted(types, reverse=True)
         assert types[0] == (4, 0, 0, 0)
 
     @pytest.mark.parametrize("n", range(1, 31))
     def test_order_count_and_class_sizes(self, n):
         types = partitions(n)
-        assert all(x > y for (x, _), (y, _) in zip(types, types[1:]))
+        assert all(x > y for (x, *_), (y, *_) in zip(types, types[1:]))
         assert len(types) == partition_count(n)
-        for a, size in types:
+        for a, size, *_ in types:
             assert len(a) == n
             assert sum(j * aj for j, aj in enumerate(a, start=1)) == n
             denom = math.prod(
@@ -97,17 +121,42 @@ class TestPartitions:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 20])
     def test_text_equals_loop_over_entries(self, n):
-        # the formatter's table lookup against a plain loop over all n entries
-        text = wreath.cycle_type_formatter(n)
-        for a, _ in partitions(n):
+        # the walk's carried text, and the text the CLI builds for explicit
+        # groups from the nonzero entries, against a plain loop over all n
+        for a, _, _, text, _ in partitions(n):
             loop = " ".join(f"{j}^{aj}" for j, aj in enumerate(a, start=1) if aj)
-            assert text(a) == loop
+            assert text == loop
+            assert cli._cycle_type_text(a) == loop
 
     def test_class_size_division_exact(self):
         # every class size divides n!; exercise a spread of n
         for n in (13, 29, 41):
-            for _, size in partitions(n)[:50]:
+            for _, size, *_ in partitions(n)[:50]:
                 assert math.factorial(n) % (math.factorial(n) // size) == 0
+
+
+class TestWalk:
+    @pytest.mark.parametrize("n", [*range(1, 31), 40])
+    def test_rows_equal_reference_recursion(self, n):
+        assert [r[:2] for r in partitions(n)] == reference_partitions(n)
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_carried_fields_equal_loops_over_a(self, n):
+        for a, _, num_cycles, text, entries in partitions(n):
+            parts = []
+            for j, aj in enumerate(a, start=1):
+                if aj:
+                    parts.append(f"{j}^{aj}")
+            assert text == " ".join(parts)
+            assert entries == ",".join(str(aj) for aj in a)
+            assert num_cycles == sum(a)
+
+    def test_rows_are_plain_tuples(self):
+        assert partitions(3) == [
+            ((3, 0, 0), 1, 3, "1^3", "3,0,0"),
+            ((1, 1, 0), 3, 2, "1^1 2^1", "1,1,0"),
+            ((0, 0, 1), 2, 1, "3^1", "0,0,1"),
+        ]
 
 
 class TestCycleTypeOf:
@@ -163,7 +212,7 @@ class TestRankPolynomial:
     @pytest.mark.parametrize("n", range(1, 31))
     def test_equals_cycle_type_enumeration(self, n):
         coeffs = [0] * (n + 1)
-        for a, size in partitions(n):
+        for a, size, *_ in partitions(n):
             coeffs[sum(a)] += size
         assert rank_polynomial_symmetric(n).coefficients == tuple(coeffs)
 

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -84,6 +85,13 @@ def assert_writer_matches(rk, n, group):
 @settings(max_examples=40, deadline=None)
 def test_symmetric_rows(n, rk):
     assert_writer_matches(rk, n, f"s{n}")
+
+
+@pytest.mark.parametrize("n", [23, 28])
+def test_symmetric_rows_at_benchmark_degrees(n):
+    # rows written from the walk's carried texts, against the oracle document
+    assert_writer_matches(3, n, f"s{n}")
+    assert_writer_matches(2**64 + 7, n, f"s{n}")
 
 
 @given(
