@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import math
 import sys
@@ -164,11 +163,6 @@ def _write_wreath_json(total: int, rows, rk: int, n: int, spec: str, order: int)
     write("\n  ]\n}\n")
 
 
-def _cycle_type_text(a: tuple[int, ...]) -> str:
-    """"1^2 3^1" for a = (2, 0, 1, 0), from the nonzero entries only."""
-    return " ".join(f"{j}^{a[j - 1]}" for j in itertools.compress(itertools.count(1), a))
-
-
 @contextlib.contextmanager
 def _exact_ints():
     """Lift the int->str digit limit (none before Python 3.10.7) for the
@@ -193,19 +187,18 @@ def cmd_wreath(args) -> int:
         rk = load_mtc(args.mtc).rank
     n = args.n
     spec = args.group.strip().lower()
-
-    symmetric = spec == f"s{n}"
+    preset = wreath.PRESET_RE.match(spec)
+    kind = preset[1] if preset and int(preset[2]) == n else None  # a preset on all n points
     if args.closed_form:
-        if spec != f"z{n}":
+        if kind != "z":
             raise ParseError("--closed-form applies only to --group z<n>")
         total = wreath.rank_wreath_cyclic(rk, n)
-    elif symmetric:
-        # written from the walk's rows and texts; no ClassTerm per class
-        classes, contributions = wreath.symmetric_classes(rk, n)
-        total, order = sum(contributions), math.factorial(n)
+    elif kind == "s":
+        total, rows = wreath.rank_wreath_symmetric(rk, n)
+        order = math.factorial(n)
     else:
         group = wreath.preset_group(args.group, n, cap=args.cap)
-        total, terms = wreath.rank_wreath_subgroup(rk, group)
+        total, rows = wreath.rank_wreath_subgroup(rk, group)
         order = group.order
         names = perms.point_names(n)  # once per run, not per class
     with _exact_ints():
@@ -214,23 +207,13 @@ def cmd_wreath(args) -> int:
                          "closed_form": True, "total_rank": str(total)})
         elif args.closed_form:
             print(f"rank of C wr Z_{n} at rk(C) = {rk}: {total}")
-        elif args.json:
-            if symmetric:  # the cycle type's text stands in for a representative
-                rows = ((entries, text, size, c, x) for (_, size, c, text, entries), x
-                        in zip(classes, contributions))
-            else:
-                digit = [str(i) for i in range(n + 1)].__getitem__  # a_j <= n
-                rows = ((",".join(map(digit, t.a)), perms.format_cycles(t.representative, names),
-                         t.class_size, t.num_cycles, t.contribution) for t in terms)
+        elif args.json:  # the cycle type's text stands in for an S_n representative
+            rows = ((entries, text if rep is None else perms.format_cycles(rep, names), size, c, x)
+                    for entries, text, rep, size, c, x in rows)
             _write_wreath_json(total, rows, rk, n, spec, order)
         else:
-            if symmetric:
-                rows = [(text, "-", str(size), str(c), str(x)) for (_, size, c, text, _), x
-                        in zip(classes, contributions)]
-            else:
-                rows = [(_cycle_type_text(t.a), perms.format_cycles(t.representative, names),
-                         str(t.class_size), str(t.num_cycles), str(t.contribution))
-                        for t in terms]
+            rows = [(text, "-" if rep is None else perms.format_cycles(rep, names),
+                     str(size), str(c), str(x)) for _, text, rep, size, c, x in rows]
             _print_table(("cycle type", "representative", "class size", "cycles",
                           "contribution"), rows)
             print(f"group order: {order}")

@@ -15,7 +15,6 @@ import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import perms
 from .errors import InconsistencyError, OutOfRange, ParseError, TooLarge
@@ -32,8 +31,8 @@ def _check_degree(n: int) -> None:
         raise OutOfRange(f"n must be in 1..{PARTITION_CAP}, got {n}")
 
 
-def partitions(n: int) -> list[tuple[tuple[int, ...], int, int, str, str]]:
-    """(a, class size, cycle count, text, entries) for all p(n) cycle types
+def partitions(n: int) -> list[tuple[int, int, str, str]]:
+    """(class size, cycle count, text, entries) for all p(n) cycle types
     a = (a_1, ..., a_n), a_j the number of j-cycles, in reverse-lexicographic
     order on a: a_1 from its largest value down, then a_2, and so on.  text
     is "1^2 3^1" (the a_j > 0 only) and entries "2,0,1,0" (every a_j).
@@ -47,7 +46,6 @@ def partitions(n: int) -> list[tuple[tuple[int, ...], int, int, str, str]]:
     part, from tables built once.  Class sizes n! / denominator are exact."""
     _check_degree(n)
     fact_n = math.factorial(n)
-    a = [0] * n
     zeros = ["0," * g for g in range(n)]  # a_j = 0 before a part
     tails = [",0" * g for g in range(n)]  # a_j = 0 after the largest part
     # parts[k][m]: the denominator factor k^m m!, the text "k^m" and str(m)
@@ -64,20 +62,15 @@ def partitions(n: int) -> list[tuple[tuple[int, ...], int, int, str, str]]:
             top, left = divmod(rest, k)
             table = parts[k]
             if not left:  # a_k = top leaves 0, and a_k = top - 1 leaves k
-                a[k - 1] = top
                 factor, part, digits = table[top]
-                append((tuple(a), fact_n // (denom * factor), cycles + top, f"{text}{part}",
+                append((fact_n // (denom * factor), cycles + top, f"{text}{part}",
                         f"{before}{digits}{tails[n - k]}"))
             for ak in range(top - 1 - (not left), 0, -1):  # leaves more than k
-                a[k - 1] = ak
                 factor, part, digits = table[ak]
                 walk(k, rest - k * ak, denom * factor, cycles + ak, f"{text}{part} ",
                      f"{before}{digits},")
-            a[k - 1] = 0
-        a[rest - 1] = 1
-        append((tuple(a), fact_n // (denom * rest), cycles + 1, f"{text}{rest}^1",
+        append((fact_n // (denom * rest), cycles + 1, f"{text}{rest}^1",
                 f"{entries}{zeros[rest - j - 1]}1{tails[n - rest]}"))
-        a[rest - 1] = 0
 
     walk(0, n, 1, 0, "", "")
     return rows
@@ -141,51 +134,35 @@ def rank_wreath_cyclic(rk: int, n: int) -> int:
     return sum(count * rk**d for d, count in gcds.items())
 
 
-class ClassTerm(NamedTuple):
-    """One conjugacy class's contribution to a wreath rank; ``a`` is its
-    cycle type and ``representative`` is None for classes of S_n."""
-
-    a: tuple[int, ...]
-    representative: Permutation | None
-    class_size: int
-    num_cycles: int
-    contribution: int
-
-
-def rank_wreath_subgroup(
-    rk: int, group: FiniteGroup
-) -> tuple[int, list[ClassTerm]]:
-    """Total rank of C wr G for an explicitly materialized G <= S_n; rk^c is
-    computed once per cycle count c that occurs."""
+def rank_wreath_subgroup(rk: int, group: FiniteGroup) -> tuple[int, list[tuple]]:
+    """Total rank of C wr G for an explicitly materialized G <= S_n, and one
+    row (entries, text, representative, class size, cycle count,
+    contribution) per conjugacy class; entries and text are the
+    representative's cycle type a as in ``partitions``.  rk^c is computed
+    once per cycle count c that occurs."""
     power = functools.cache(rk.__pow__)
-    terms = []
+    rows = []
     for cls in perms.conjugacy_classes(group).classes:
         rep = group.elements[cls[0]]
         a = cycle_type_of(rep)
         c = sum(a)
-        terms.append(ClassTerm(a, rep, len(cls), c, len(cls) * power(c)))
-    return sum(t.contribution for t in terms), terms
+        text = " ".join(f"{j}^{a[j - 1]}" for j in itertools.compress(itertools.count(1), a))
+        rows.append((",".join(map(str, a)), text, rep, len(cls), c, len(cls) * power(c)))
+    return sum(row[5] for row in rows), rows
 
 
-def symmetric_classes(rk: int, n: int) -> tuple[list, list[int]]:
-    """The rows of ``partitions(n)`` and each class's contribution, class
-    size * rk^(cycle count).  InconsistencyError if the class sizes do not
-    sum to n!, raised before any contribution is computed."""
-    rows = partitions(n)
-    order = sum(row[1] for row in rows)
+def rank_wreath_symmetric(rk: int, n: int) -> tuple[int, list[tuple]]:
+    """Total rank of C wr S_n and its rows, shaped as in
+    ``rank_wreath_subgroup`` with representative None, from the rows of
+    ``partitions(n)``; S_n is never materialized.  InconsistencyError if the
+    class sizes do not sum to n!, raised before any row is built."""
+    classes = partitions(n)
+    order = sum(size for size, *_ in classes)
     if order != math.factorial(n):
         raise InconsistencyError(f"class sizes of S_{n} sum to {order}, not {n}!")
     powers = list(itertools.accumulate(itertools.repeat(rk, n), operator.mul, initial=1))
-    return rows, [row[1] * powers[row[2]] for row in rows]
-
-
-def rank_wreath_symmetric(rk: int, n: int) -> tuple[int, list[ClassTerm]]:
-    """Total rank of C wr S_n from cycle types; S_n is never materialized.
-    InconsistencyError if the class sizes do not sum to n!."""
-    rows, contributions = symmetric_classes(rk, n)
-    terms = [ClassTerm(a, None, size, c, x)
-             for (a, size, c, *_), x in zip(rows, contributions)]
-    return sum(contributions), terms
+    rows = [(entries, text, None, size, c, size * powers[c]) for size, c, text, entries in classes]
+    return sum(row[5] for row in rows), rows
 
 
 def brute_force_wreath_rank(rk: int, group: FiniteGroup) -> int:
@@ -210,7 +187,8 @@ def brute_force_wreath_rank(rk: int, group: FiniteGroup) -> int:
 
 # -- group presets ---------------------------------------------------------
 
-_PRESET_RE = re.compile(r"([saz])(\d+)$")
+# k may be negative, so that "s-1" fails on its degree, not as cycle notation
+PRESET_RE = re.compile(r"([saz])(-?\d+)$")
 
 
 def preset_generators(spec: str, degree: int) -> dict[str, Permutation]:
@@ -218,7 +196,7 @@ def preset_generators(spec: str, degree: int) -> dict[str, Permutation]:
     on the first k points), or explicit comma-separated cycle notation."""
     if degree < 1:
         raise OutOfRange(f"degree must be >= 1, got {degree}")
-    m = _PRESET_RE.match(spec.strip().lower())
+    m = PRESET_RE.match(spec.strip().lower())
     if m:
         kind, k = m.group(1), int(m.group(2))
         if not 1 <= k <= degree:

@@ -12,6 +12,11 @@ def fixture_path(name: str) -> Path:
     return FIXTURES / name
 
 
+def a_of(entries: str) -> tuple[int, ...]:
+    """The cycle type a back from a row's entries text "2,0,1,0"."""
+    return tuple(map(int, entries.split(",")))
+
+
 @pytest.fixture(scope="session")
 def fibonacci():
     return gcrank.load_mtc(gcrank.bundled_data_path("fibonacci.json"))

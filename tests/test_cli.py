@@ -361,6 +361,24 @@ class TestWreath:
         code, out, err = run(capsys, "wreath", "--rk", "2", "--n", n, "--group", f"s{n}")
         assert (code, out, err) == (2, "", f"error: n must be in 1..60, got {n}\n")
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_zero_padded_symmetric_spec_is_s_n(self, capsys, fmt):
+        # "s03" names S_3 as "s3" does, so it takes the same route and prints
+        # the same rows; only the echoed "group" differs
+        outs = [run(capsys, "wreath", "--rk", "3", "--n", "3", "--group", g, *fmt)
+                for g in ("s3", "s03")]
+        assert [code for code, _, _ in outs] == [0, 0]
+        plain, padded = (out for _, out, _ in outs)
+        assert "(1 2)" not in plain
+        assert padded == plain.replace('"group": "s3"', '"group": "s03"')
+
+    def test_zero_padded_cyclic_spec_takes_closed_form(self, capsys):
+        outs = [run(capsys, "wreath", "--rk", "3", "--n", "3", "--group", g,
+                    "--closed-form", "--json") for g in ("z3", "z03")]
+        assert [code for code, _, _ in outs] == [0, 0]
+        plain, padded = (json.loads(out) for _, out, _ in outs)
+        assert padded["total_rank"] == plain["total_rank"] == "33"
+
     def test_deterministic_json(self, capsys):
         _, first, _ = run(capsys, "wreath", "--rk", "3", "--n", "5", "--group", "s5", "--json")
         _, second, _ = run(capsys, "wreath", "--rk", "3", "--n", "5", "--group", "s5", "--json")

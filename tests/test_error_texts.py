@@ -41,6 +41,9 @@ CLI_CASES = {
     "closed-form-negative-degree": (
         ["wreath", "--rk", "3", "--n", "-1", "--group", "z-1", "--closed-form"], None, 2,
         "error: degree must be >= 1, got -1\n"),
+    "preset-negative-degree": (
+        ["wreath", "--rk", "3", "--n", "3", "--group", "s-1"], None, 2,
+        "error: group 's-1' does not fit degree 3\n"),
     "top-level-not-object": (
         ["validate", "--mtc"], [FIB], 2,
         "error: top-level value must be an object\n"),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gcrank import cli, perms, rank, wreath
+from gcrank import perms, rank, wreath
 from gcrank.cli import main
 from gcrank.errors import OutOfRange, TooLarge
 from gcrank.mtc import ModularData
@@ -24,6 +24,8 @@ from gcrank.wreath import (
     rank_wreath_subgroup,
     rank_wreath_symmetric,
 )
+
+from conftest import a_of
 
 
 def rising_factorial(n):
@@ -84,29 +86,29 @@ class TestPartitions:
 
     def test_double_transposition_class_size(self):
         # a = (0, 2, 0, 0): 4! / (2^2 * 2!) = 3
-        assert ((0, 2, 0, 0), 3) in [r[:2] for r in partitions(4)]
+        assert ((0, 2, 0, 0), 3) in [(a_of(e), size) for size, _, _, e in partitions(4)]
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_class_sizes_sum_to_factorial(self, n):
-        assert sum(size for _, size, *_ in partitions(n)) == math.factorial(n)
+        assert sum(size for size, *_ in partitions(n)) == math.factorial(n)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_class_sizes_match_brute_force_census(self, n):
         census = count_s_n_by_cycle_type(n)
-        for a, size, *_ in partitions(n):
-            assert census[a] == size
+        for size, _, _, entries in partitions(n):
+            assert census[a_of(entries)] == size
 
     def test_reverse_lexicographic_order(self):
-        types = [a for a, *_ in partitions(4)]
+        types = [a_of(e) for *_, e in partitions(4)]
         assert types == sorted(types, reverse=True)
         assert types[0] == (4, 0, 0, 0)
 
     @pytest.mark.parametrize("n", range(1, 31))
     def test_order_count_and_class_sizes(self, n):
-        types = partitions(n)
-        assert all(x > y for (x, *_), (y, *_) in zip(types, types[1:]))
+        types = [(a_of(e), size) for size, _, _, e in partitions(n)]
+        assert all(x > y for (x, _), (y, _) in zip(types, types[1:]))
         assert len(types) == partition_count(n)
-        for a, size, *_ in types:
+        for a, size in types:
             assert len(a) == n
             assert sum(j * aj for j, aj in enumerate(a, start=1)) == n
             denom = math.prod(
@@ -121,28 +123,37 @@ class TestPartitions:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 20])
     def test_text_equals_loop_over_entries(self, n):
-        # the walk's carried text, and the text the CLI builds for explicit
-        # groups from the nonzero entries, against a plain loop over all n
-        for a, _, _, text, _ in partitions(n):
-            loop = " ".join(f"{j}^{aj}" for j, aj in enumerate(a, start=1) if aj)
-            assert text == loop
-            assert cli._cycle_type_text(a) == loop
+        # the walk's carried text, and the text rank_wreath_subgroup builds
+        # for explicit groups from the nonzero entries, against a plain loop
+        # over all n; at n = 20 the group is Z_2 x Z_3 x ... x Z_6 on disjoint
+        # blocks, whose 720 classes have up to six distinct part sizes
+        def loop(a):
+            return " ".join(f"{j}^{aj}" for j, aj in enumerate(a, start=1) if aj)
+
+        for _, _, text, entries in partitions(n):
+            assert text == loop(a_of(entries))
+        spec = (f"s{n}" if n <= 7 else
+                "(1 2),(3 4 5),(6 7 8 9),(10 11 12 13 14),(15 16 17 18 19 20)")
+        for entries, text, rep, *_ in rank_wreath_subgroup(2, preset_group(spec, n))[1]:
+            assert text == loop(cycle_type_of(rep))
+            assert a_of(entries) == cycle_type_of(rep)
 
     def test_class_size_division_exact(self):
         # every class size divides n!; exercise a spread of n
         for n in (13, 29, 41):
-            for _, size, *_ in partitions(n)[:50]:
+            for size, *_ in partitions(n)[:50]:
                 assert math.factorial(n) % (math.factorial(n) // size) == 0
 
 
 class TestWalk:
     @pytest.mark.parametrize("n", [*range(1, 31), 40])
     def test_rows_equal_reference_recursion(self, n):
-        assert [r[:2] for r in partitions(n)] == reference_partitions(n)
+        assert [(a_of(e), size) for size, _, _, e in partitions(n)] == reference_partitions(n)
 
     @pytest.mark.parametrize("n", range(1, 31))
     def test_carried_fields_equal_loops_over_a(self, n):
-        for a, _, num_cycles, text, entries in partitions(n):
+        for _, num_cycles, text, entries in partitions(n):
+            a = a_of(entries)
             parts = []
             for j, aj in enumerate(a, start=1):
                 if aj:
@@ -153,9 +164,9 @@ class TestWalk:
 
     def test_rows_are_plain_tuples(self):
         assert partitions(3) == [
-            ((3, 0, 0), 1, 3, "1^3", "3,0,0"),
-            ((1, 1, 0), 3, 2, "1^1 2^1", "1,1,0"),
-            ((0, 0, 1), 2, 1, "3^1", "0,0,1"),
+            (1, 3, "1^3", "3,0,0"),
+            (3, 2, "1^1 2^1", "1,1,0"),
+            (2, 1, "3^1", "0,0,1"),
         ]
 
 
@@ -212,8 +223,8 @@ class TestRankPolynomial:
     @pytest.mark.parametrize("n", range(1, 31))
     def test_equals_cycle_type_enumeration(self, n):
         coeffs = [0] * (n + 1)
-        for a, size, *_ in partitions(n):
-            coeffs[sum(a)] += size
+        for size, _, _, entries in partitions(n):
+            coeffs[sum(a_of(entries))] += size
         assert rank_polynomial_symmetric(n).coefficients == tuple(coeffs)
 
     def test_never_enumerates_cycle_types(self, monkeypatch, capsys):
@@ -301,16 +312,16 @@ class TestCyclicNecklace:
 
 class TestWreathSubgroup:
     def test_s3_breakdown(self):
-        total, terms = rank_wreath_subgroup(3, preset_group("s3", 3))
+        total, rows = rank_wreath_subgroup(3, preset_group("s3", 3))
         assert total == 60
-        assert sorted(t.contribution for t in terms) == [6, 27, 27]
+        assert sorted(x for *_, x in rows) == [6, 27, 27]
         assert total == rank_polynomial_symmetric(3).evaluate(3)
 
     def test_trivial_group(self):
         group = perms.generate_group(4, {})
-        total, terms = rank_wreath_subgroup(7, group)
+        total, rows = rank_wreath_subgroup(7, group)
         assert total == 7**4
-        assert len(terms) == 1
+        assert len(rows) == 1
 
     def test_five_cycle(self):
         total, _ = rank_wreath_subgroup(2, preset_group("z5", 5))
@@ -320,10 +331,14 @@ class TestWreathSubgroup:
     def test_symmetric_path_agrees_with_materialized(self):
         for n in (2, 3, 4, 5):
             for r in (1, 2, 3):
-                total_sym, terms_sym = rank_wreath_symmetric(r, n)
-                total_mat, _ = rank_wreath_subgroup(r, preset_group(f"s{n}", n))
+                total_sym, rows_sym = rank_wreath_symmetric(r, n)
+                total_mat, rows_mat = rank_wreath_subgroup(r, preset_group(f"s{n}", n))
                 assert total_sym == total_mat
-                assert sum(t.class_size for t in terms_sym) == math.factorial(n)
+                assert sum(size for _, _, _, size, _, _ in rows_sym) == math.factorial(n)
+                # both routes give the same rows, the representative aside
+                assert all(rep is None for _, _, rep, *_ in rows_sym)
+                assert (sorted((e, t, size, c, x) for e, t, _, size, c, x in rows_sym)
+                        == sorted((e, t, size, c, x) for e, t, _, size, c, x in rows_mat))
 
     def test_alternating_group(self):
         a4 = preset_group("a4", 4)

@@ -15,6 +15,8 @@ from gcrank import perms, wreath
 from gcrank.cli import main
 from gcrank.perms import Permutation
 
+from conftest import a_of
+
 ISING = str(gcrank.bundled_data_path("ising.json"))
 FIB = str(gcrank.bundled_data_path("fibonacci.json"))
 
@@ -31,7 +33,7 @@ def cycle_type_text(a):
     return " ".join(parts) or "-"
 
 
-def oracle_doc(total, terms, rk, n, group_spec, order):
+def oracle_doc(total, rows, rk, n, group_spec, order):
     return {
         "rk": str(rk),
         "n": n,
@@ -40,17 +42,17 @@ def oracle_doc(total, terms, rk, n, group_spec, order):
         "total_rank": str(total),
         "per_class": [
             {
-                "cycle_type": list(t.a),
+                "cycle_type": list(a_of(entries) if rep is None else wreath.cycle_type_of(rep)),
                 "representative": (
-                    perms.format_cycles(t.representative)
-                    if t.representative is not None
-                    else cycle_type_text(t.a)
+                    perms.format_cycles(rep)
+                    if rep is not None
+                    else cycle_type_text(a_of(entries))
                 ),
-                "class_size": str(t.class_size),
-                "num_cycles": t.num_cycles,
-                "contribution": str(t.contribution),
+                "class_size": str(size),
+                "num_cycles": num_cycles,
+                "contribution": str(contribution),
             }
-            for t in terms
+            for entries, _, rep, size, num_cycles, contribution in rows
         ],
     }
 
@@ -58,13 +60,13 @@ def oracle_doc(total, terms, rk, n, group_spec, order):
 def expected_stdout(rk, n, group):
     spec = group.strip().lower()
     if spec == f"s{n}":
-        total, terms = wreath.rank_wreath_symmetric(rk, n)
-        order = sum(t.class_size for t in terms)
+        total, rows = wreath.rank_wreath_symmetric(rk, n)
+        order = sum(size for _, _, _, size, _, _ in rows)
     else:
         g = wreath.preset_group(group, n)
-        total, terms = wreath.rank_wreath_subgroup(rk, g)
+        total, rows = wreath.rank_wreath_subgroup(rk, g)
         order = g.order
-    doc = oracle_doc(total, terms, rk, n, spec, order)
+    doc = oracle_doc(total, rows, rk, n, spec, order)
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
