@@ -20,15 +20,7 @@ from .perms import (
     orbits,
     parse_cycles,
 )
-from .rank import (
-    ModularInvariantMatrix,
-    RankReport,
-    graded_rank,
-    lagrangian_summands,
-    modular_invariant,
-    rank_report,
-    trace,
-)
+from .rank import RankReport, rank_report
 from .symmetry import GlobalSymmetry, build_symmetry, load_symmetry, validate_automorphism
 from .wreath import (
     RankPolynomial,

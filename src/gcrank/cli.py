@@ -187,8 +187,8 @@ def cmd_wreath(args) -> int:
         rk = load_mtc(args.mtc).rank
     n = args.n
     spec = args.group.strip().lower()
-    preset = wreath.PRESET_RE.match(spec)
-    kind = preset[1] if preset and int(preset[2]) == n else None  # a preset on all n points
+    preset = wreath.parse_preset(spec, n)
+    kind = preset[0] if preset and preset[1] == n else None  # a preset on all n points
     if args.closed_form:
         if kind != "z":
             raise ParseError("--closed-form applies only to --group z<n>")

@@ -31,10 +31,6 @@ class GroupTooLarge(GcrankError):
         self.order = order
 
 
-class UnknownElement(GcrankError):
-    pass
-
-
 # -- data file errors ------------------------------------------------------
 
 class ParseError(UsageError):

@@ -183,14 +183,10 @@ class FiniteGroup:
     right: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
     parent: tuple[int, ...] = field(repr=False, compare=False)
     via: tuple[int, ...] = field(repr=False, compare=False)
-    _index: dict[tuple[int, ...], int] = field(repr=False, compare=False)
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def index_of(self, p: Permutation) -> int | None:
-        return self._index.get(p.images)
 
 
 def group_order(degree: int, generators) -> int:
@@ -333,7 +329,6 @@ def generate_group(
         tuple(tuple(table[k::stride]) for k in range(len(times))),
         tuple(map(floordiv, reached, repeat(stride))),
         tuple(map(mod, reached, repeat(stride))),
-        index,
     )
 
 

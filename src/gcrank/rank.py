@@ -8,82 +8,21 @@ asserted equal; a mismatch is a bug, never valid data.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 from . import perms
-from .errors import InconsistencyError, UnknownElement
-from .perms import ConjugacyClassPartition, Permutation
+from .errors import InconsistencyError
 from .symmetry import GlobalSymmetry
-
-
-def _element_index(s: GlobalSymmetry, g: Permutation) -> int:
-    idx = s.group.index_of(g)
-    if idx is None:
-        raise UnknownElement(
-            f"permutation {perms.format_cycles(g)} is not an element of the group"
-        )
-    return idx
-
-
-def graded_rank(s: GlobalSymmetry, g: Permutation) -> int:
-    """Number of labels fixed by g: the rank of the g-graded component."""
-    _element_index(s, g)
-    return len(perms.fixed_points(g))
-
-
-@dataclass(frozen=True)
-class ModularInvariantMatrix:
-    size: int
-    entries: dict[tuple[int, int], int]
-
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        return self.entries.get(key, 0)
-
-    def transpose(self) -> "ModularInvariantMatrix":
-        return ModularInvariantMatrix(
-            self.size, {(y, x): v for (x, y), v in self.entries.items()}
-        )
-
-
-def modular_invariant(s: GlobalSymmetry, g: Permutation) -> ModularInvariantMatrix:
-    """The permutation matrix Z with Z[X, Y] = 1 iff g sends X to Y."""
-    _element_index(s, g)
-    return ModularInvariantMatrix(
-        s.mtc.rank, {(x, g.images[x]): 1 for x in range(s.mtc.rank)}
-    )
-
-
-def trace(z: ModularInvariantMatrix) -> int:
-    return sum(v for (x, y), v in z.entries.items() if x == y)
-
-
-@dataclass(frozen=True)
-class FullCenterDecomposition:
-    """Multiset of label pairs (X, Y) with multiplicities, one summand each."""
-
-    summands: Counter
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(self.summands.values())
-
-
-def lagrangian_summands(s: GlobalSymmetry, g: Permutation) -> FullCenterDecomposition:
-    """One summand (X, g(dual(X))) per label X."""
-    _element_index(s, g)
-    m = s.mtc
-    return FullCenterDecomposition(
-        Counter((x, g.images[m.dual[x]]) for x in range(m.rank))
-    )
 
 
 @dataclass(frozen=True)
 class RankReport:
+    """``per_element[i]`` is the graded rank of ``symmetry.group.elements[i]``."""
+
     symmetry: GlobalSymmetry
     per_element: tuple[int, ...]
-    classes: ConjugacyClassPartition
+    classes: perms.ConjugacyClassPartition
     orbits: tuple[frozenset[int], ...]
     total_rank: int
     orbit_count: int

@@ -191,15 +191,23 @@ def brute_force_wreath_rank(rk: int, group: FiniteGroup) -> int:
 PRESET_RE = re.compile(r"([saz])(-?\d+)$")
 
 
+def parse_preset(spec: str, degree: int) -> tuple[str, int | None] | None:
+    """(kind, k) for a preset "s<k>", "a<k>" or "z<k>", None for cycle notation;
+    k is None if it has more digits than ``degree``, so no int() reads it."""
+    m = PRESET_RE.match(spec.strip().lower())
+    if m:
+        return m[1], int(m[2]) if len(m[2].lstrip("-0")) <= len(str(abs(degree))) else None
+
+
 def preset_generators(spec: str, degree: int) -> dict[str, Permutation]:
     """Named generator sets for "s<k>", "a<k>", "z<k>" (k <= degree, acting
     on the first k points), or explicit comma-separated cycle notation."""
     if degree < 1:
         raise OutOfRange(f"degree must be >= 1, got {degree}")
-    m = PRESET_RE.match(spec.strip().lower())
-    if m:
-        kind, k = m.group(1), int(m.group(2))
-        if not 1 <= k <= degree:
+    preset = parse_preset(spec, degree)
+    if preset:
+        kind, k = preset
+        if k is None or not 1 <= k <= degree:
             raise ParseError(f"group {spec!r} does not fit degree {degree}")
         cycle_k = "(" + " ".join(str(i) for i in range(1, k + 1)) + ")"
         if kind == "z":

@@ -402,7 +402,7 @@ def test_cap_below_one_is_usage_error(capsys, argv, cap):
 EXIT_CODES = {
     "GcrankError": 1, "UsageError": 2,
     "InvalidDegree": 1, "DegreeMismatch": 2, "GroupTooLarge": 1,
-    "UnknownElement": 1, "ParseError": 2, "UnknownLabel": 2,
+    "ParseError": 2, "UnknownLabel": 2,
     "DuplicateLabel": 2, "InvalidRational": 2, "DualityViolation": 1,
     "NotAnAutomorphism": 1, "InconsistencyError": 1, "OutOfRange": 2,
     "TooLarge": 2,

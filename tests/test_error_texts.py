@@ -27,6 +27,9 @@ def _mtc(**changes):
     return {**FIB, **changes}
 
 
+# A preset's k of 5,000 digits, past the default int->str digit limit
+NINES = "9" * 5000
+
 # name -> (argv before the file path, file document or None, exit code, stderr)
 CLI_CASES = {
     "negative-rk": (
@@ -44,6 +47,14 @@ CLI_CASES = {
     "preset-negative-degree": (
         ["wreath", "--rk", "3", "--n", "3", "--group", "s-1"], None, 2,
         "error: group 's-1' does not fit degree 3\n"),
+    **{f"preset-k-past-digit-limit{fmt}": (
+        ["wreath", "--rk", "3", "--n", "3", "--group", f"s{NINES}", *flags], None, 2,
+        f"error: group 's{NINES}' does not fit degree 3\n")
+       for fmt, flags in (("", []), ("-json", ["--json"]))},
+    **{f"closed-form-k-past-digit-limit{fmt}": (
+        ["wreath", "--rk", "3", "--n", "3", "--group", f"z{NINES}", "--closed-form", *flags],
+        None, 2, "error: --closed-form applies only to --group z<n>\n")
+       for fmt, flags in (("", []), ("-json", ["--json"]))},
     "top-level-not-object": (
         ["validate", "--mtc"], [FIB], 2,
         "error: top-level value must be an object\n"),

@@ -246,10 +246,11 @@ class TestGenerateGroup:
     def test_table_records_products_and_tree(self, case):
         group = named_group(case)
         gens = group.generators
+        index = {e: i for i, e in enumerate(group.elements)}
         assert len(group.right) == len(gens)
         for k, g in enumerate(gens):
             assert group.right[k] == tuple(
-                group.index_of(compose(e, g)) for e in group.elements)
+                index[compose(e, g)] for e in group.elements)
         # every element i > 0 is its parent times the generator that reached it
         assert group.parent[0] == 0
         for i in range(1, group.order):
@@ -286,10 +287,11 @@ class TestConjugacyClasses:
         part = conjugacy_classes(group)
         assert sorted(len(c) for c in part.classes) == [1, 3, 6, 6, 8]
         # brute-force oracle: conjugacy tested pairwise over all elements
+        index = {e: i for i, e in enumerate(group.elements)}
         for cls in part.classes:
             h = group.elements[cls[0]]
             reachable = {
-                group.index_of(compose(compose(k, h), inverse(k)))
+                index[compose(compose(k, h), inverse(k))]
                 for k in group.elements
             }
             assert reachable == set(cls)

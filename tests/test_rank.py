@@ -1,19 +1,9 @@
 import itertools
 import random
 
-import pytest
-
-from gcrank import perms, rank, wreath
-from gcrank.errors import UnknownElement
-from gcrank.perms import Permutation, compose, generate_group, identity, inverse
-from gcrank.rank import (
-    ModularInvariantMatrix,
-    graded_rank,
-    lagrangian_summands,
-    modular_invariant,
-    rank_report,
-    trace,
-)
+from gcrank import wreath
+from gcrank.perms import Permutation, compose, generate_group, inverse
+from gcrank.rank import rank_report
 from gcrank.symmetry import GlobalSymmetry, build_symmetry, parse_generator
 
 
@@ -47,27 +37,35 @@ def random_permutation_symmetry(mtc, rng):
     return GlobalSymmetry(mtc, generate_group(mtc.rank, gens))
 
 
+def graded_ranks(s):
+    """Element -> its graded rank, as ``rank_report(s).per_element`` gives it."""
+    return dict(zip(s.group.elements, rank_report(s).per_element))
+
+
+def trace(g):
+    """The trace of Z_g, the permutation matrix of g: its diagonal ones are
+    the points g fixes.  Built here, apart from ``rank_report``."""
+    return sum(1 for x, y in enumerate(g.images) if x == y)
+
+
 class TestGradedRank:
     def test_toric_swap(self, toric_swap):
         swap = parse_generator(toric_swap.mtc, "(e m)")
-        assert graded_rank(toric_swap, swap) == 2
+        assert graded_ranks(toric_swap)[swap] == 2
 
     def test_identity_component_is_base_rank(self, toric_swap):
-        assert graded_rank(toric_swap, identity(4)) == 4
+        assert graded_ranks(toric_swap)[toric_swap.group.elements[0]] == 4
 
     def test_trivial_group_on_ising(self, ising):
         s = build_symmetry(ising, {})
-        assert graded_rank(s, identity(3)) == 3
-
-    def test_unknown_element(self, toric_swap):
-        with pytest.raises(UnknownElement):
-            graded_rank(toric_swap, perms.parse_cycles("(1 2)", 4))
+        assert rank_report(s).per_element == (3,)
 
     def test_conjugation_invariance(self, ising):
         power, s = wreath.symmetric_power_symmetry(ising, 2)
+        ranks = graded_ranks(s)
         for h, k in itertools.product(s.group.elements, repeat=2):
             conj = compose(compose(k, h), inverse(k))
-            assert graded_rank(s, conj) == graded_rank(s, h)
+            assert ranks[conj] == ranks[h]
 
 
 class TestRankReport:
@@ -136,88 +134,40 @@ class TestRankReport:
 
 
 class TestModularInvariant:
-    def test_identity_gives_identity_matrix(self, toric_swap):
-        z = modular_invariant(toric_swap, identity(4))
-        assert z.entries == {(i, i): 1 for i in range(4)}
-        assert trace(z) == 4
-
-    def test_toric_swap_matrix(self, toric_swap):
-        m = toric_swap.mtc
-        swap = parse_generator(m, "(e m)")
-        z = modular_invariant(toric_swap, swap)
-        e, mm = m.label_index("e"), m.label_index("m")
-        assert z[e, mm] == 1 and z[mm, e] == 1
-        assert z[e, e] == 0
-        assert trace(z) == 2
+    """Z_g is read off ``g.images``; its trace, taken in this file, is the
+    graded rank."""
 
     def test_permutation_matrix_shape(self, ising):
+        # the closure wraps its elements unchecked: each must be a bijection
         _, s = wreath.symmetric_power_symmetry(ising, 2)
         for g in s.group.elements:
-            z = modular_invariant(s, g)
-            rows = [x for (x, _) in z.entries]
-            cols = [y for (_, y) in z.entries]
-            assert sorted(rows) == list(range(z.size))
-            assert sorted(cols) == list(range(z.size))
-            assert set(z.entries.values()) == {1}
+            assert sorted(g.images) == list(range(s.mtc.rank))
 
     def test_transpose_is_inverse_element(self, ising):
-        _, s = wreath.symmetric_power_symmetry(ising, 2)
+        # Z_g transposed is Z_{g^-1}, so g and g^-1 have the same graded rank
+        _, s = wreath.symmetric_power_symmetry(ising, 3)
+        ranks = graded_ranks(s)
         for g in s.group.elements:
-            z = modular_invariant(s, g)
-            zt = modular_invariant(s, inverse(g))
-            assert z.transpose().entries == zt.entries
+            assert ranks[inverse(g)] == ranks[g] == trace(g)
+
+    def test_derangement_has_zero_trace(self, ising):
+        s = GlobalSymmetry(ising, generate_group(3, {"c": Permutation((1, 2, 0))}))
+        assert [trace(g) for g in s.group.elements] == [3, 0, 0]
+        assert rank_report(s).per_element == (3, 0, 0)
 
     def test_trace_equals_graded_rank_randomized(
         self, fibonacci, ising, toric_code
     ):
-        # trace(Z_g) and |fixed(g)| computed by independent code paths
         rng = random.Random(23)
         checked = 0
         while checked < 100:
             mtc = rng.choice([fibonacci, ising, toric_code])
             s = random_permutation_symmetry(mtc, rng)
-            g = rng.choice(s.group.elements)
-            assert trace(modular_invariant(s, g)) == graded_rank(s, g)
+            i = rng.randrange(s.group.order)
+            assert trace(s.group.elements[i]) == rank_report(s).per_element[i]
             checked += 1
 
     def test_trace_sum_equals_total_rank(self, toric_swap, ising):
         for s in (toric_swap, wreath.symmetric_power_symmetry(ising, 2)[1]):
-            total = sum(
-                trace(modular_invariant(s, g)) for g in s.group.elements
-            )
+            total = sum(trace(g) for g in s.group.elements)
             assert total == rank_report(s).total_rank
-
-    def test_derangement_has_zero_trace(self):
-        z = ModularInvariantMatrix(3, {(0, 1): 1, (1, 2): 1, (2, 0): 1})
-        assert trace(z) == 0
-
-
-class TestLagrangianSummands:
-    def test_fibonacci_identity(self, fibonacci):
-        s = build_symmetry(fibonacci, {})
-        dec = lagrangian_summands(s, identity(2))
-        assert dec.summands == {(0, 0): 1, (1, 1): 1}
-        assert dec.total_multiplicity == 2
-
-    def test_toric_swap(self, toric_swap):
-        m = toric_swap.mtc
-        swap = parse_generator(m, "(e m)")
-        dec = lagrangian_summands(toric_swap, swap)
-        one, e, mm, f = (m.label_index(l) for l in ("1", "e", "m", "f"))
-        assert dec.summands == {(one, one): 1, (e, mm): 1, (mm, e): 1, (f, f): 1}
-
-    def test_matches_modular_invariant_through_duals(self, toric_swap, ising):
-        # the summand multiset is the Z support with the second index dualized
-        for s in (toric_swap, wreath.symmetric_power_symmetry(ising, 2)[1]):
-            m = s.mtc
-            for g in s.group.elements:
-                dec = lagrangian_summands(s, g)
-                z = modular_invariant(s, g)
-                from_z = {
-                    (x, m.dual[y]): mult for (x, y), mult in z.entries.items()
-                }
-                assert dict(dec.summands) == from_z
-
-    def test_total_multiplicity_is_base_rank(self, toric_swap):
-        for g in toric_swap.group.elements:
-            assert lagrangian_summands(toric_swap, g).total_multiplicity == 4
