@@ -8,7 +8,6 @@ from .errors import GcrankError
 from .mtc import ModularData, ValidationReport, load_mtc, parse_mtc, serialize_mtc, validate_mtc
 from .perms import (
     FiniteGroup,
-    Permutation,
     compose,
     conjugacy_classes,
     cycle_decomposition,

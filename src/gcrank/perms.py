@@ -1,10 +1,11 @@
 """Exact permutations and finite permutation groups.
 
-Points are 0-indexed internally.  Integer cycle notation is 1-indexed,
-e.g. ``"(1 2 3)(4 5)"``; the empty string denotes the identity.  The same
-parser and formatter handle notation over labels, e.g. ``"(e m)"``.
-Composition applies the *right* argument first:
-``compose(p, q)(i) == p(q(i))``.
+A permutation of degree d is the tuple of its images: ``p[i]`` is the image
+of the point i, so ``p`` is a bijection of {0, ..., d-1}.  Points are
+0-indexed internally.  Integer cycle notation is 1-indexed, e.g.
+``"(1 2 3)(4 5)"``; the empty string denotes the identity.  The same parser
+and formatter handle notation over labels, e.g. ``"(e m)"``.  Composition
+applies the *right* argument first: ``compose(p, q)[i] == p[q[i]]``.
 """
 
 from __future__ import annotations
@@ -26,74 +27,46 @@ from .errors import (
 DEFAULT_GROUP_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of {0, ..., d-1}; ``images[i]`` is the image of i."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.images) == 0:
-            raise InvalidDegree("degree must be >= 1")
-        if sorted(self.images) != list(range(len(self.images))):
-            raise GcrankError(f"images {self.images} are not a bijection")
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
+def identity(degree: int) -> tuple[int, ...]:
+    if degree < 1:
+        raise InvalidDegree(f"degree must be >= 1, got {degree}")
+    return tuple(range(degree))
 
 
-def _unchecked(images: tuple[int, ...]) -> Permutation:
-    """A Permutation from images already known to form a bijection."""
-    p = object.__new__(Permutation)
-    object.__setattr__(p, "images", images)
-    return p
+def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation applying q first, then p."""
+    if len(p) != len(q):
+        raise DegreeMismatch(f"degrees {len(p)} and {len(q)} differ")
+    return tuple(map(p.__getitem__, q))
 
 
-def _inverse_images(p: tuple[int, ...]) -> tuple[int, ...]:
+def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
     inv = [0] * len(p)
     for i, im in enumerate(p):
         inv[im] = i
     return tuple(inv)
 
 
-def identity(degree: int) -> Permutation:
-    if degree < 1:
-        raise InvalidDegree(f"degree must be >= 1, got {degree}")
-    return Permutation(tuple(range(degree)))
+def fixed_points(p: tuple[int, ...]) -> frozenset[int]:
+    return frozenset(i for i, im in enumerate(p) if im == i)
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """The permutation applying q first, then p."""
-    if p.degree != q.degree:
-        raise DegreeMismatch(f"degrees {p.degree} and {q.degree} differ")
-    return _unchecked(tuple(map(p.images.__getitem__, q.images)))
-
-
-def inverse(p: Permutation) -> Permutation:
-    return _unchecked(_inverse_images(p.images))
-
-
-def fixed_points(p: Permutation) -> frozenset[int]:
-    return frozenset(i for i, im in enumerate(p.images) if im == i)
-
-
-def cycle_decomposition(p: Permutation) -> tuple[tuple[int, ...], ...]:
+def cycle_decomposition(p: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Cycles of p, fixed points included as 1-cycles.  Each cycle starts at
     its minimal point; cycles are sorted by that point.  Its own loop, not
     ``_orbits``: that route is ~1.6x slower on random permutations."""
-    seen = [False] * p.degree
+    seen = [False] * len(p)
     cycles = []
-    for start in range(p.degree):
+    for start in range(len(p)):
         if seen[start]:
             continue
         cycle = [start]
         seen[start] = True
-        nxt = p.images[start]
+        nxt = p[start]
         while nxt != start:
             cycle.append(nxt)
             seen[nxt] = True
-            nxt = p.images[nxt]
+            nxt = p[nxt]
         cycles.append(tuple(cycle))
     return tuple(cycles)
 
@@ -103,9 +76,9 @@ def cycle_decomposition(p: Permutation) -> tuple[tuple[int, ...], ...]:
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def parse_cycles(text: str, degree: int, point=None) -> Permutation:
-    """Parse cycle notation such as ``"(1 2 3)(4 5)"`` into a Permutation
-    of the given degree; the empty string is the identity.
+def parse_cycles(text: str, degree: int, point=None) -> tuple[int, ...]:
+    """Parse cycle notation such as ``"(1 2 3)(4 5)"`` into the image tuple
+    of a permutation of the given degree; the empty string is the identity.
 
     Without ``point``, tokens are 1-indexed integers.  ``point`` maps a
     token to its 0-indexed point instead, e.g. ``ModularData.label_index``
@@ -132,7 +105,7 @@ def parse_cycles(text: str, degree: int, point=None) -> Permutation:
         mentioned |= set(points)
         for a, b in zip(points, points[1:] + points[:1]):
             images[a] = b
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
 def point_names(degree: int) -> list[str]:
@@ -140,7 +113,7 @@ def point_names(degree: int) -> list[str]:
     return [str(pt + 1) for pt in range(degree)]
 
 
-def format_cycles(p: Permutation, names=None) -> str:
+def format_cycles(p: tuple[int, ...], names=None) -> str:
     """Cycle notation with fixed points omitted; the identity is ``"()"``.
 
     Points are written 1-indexed, or as ``names[point]`` when a sequence
@@ -148,7 +121,7 @@ def format_cycles(p: Permutation, names=None) -> str:
     A caller formatting many permutations can pass ``point_names(degree)``.
     """
     if names is None:
-        names = point_names(p.degree)
+        names = point_names(len(p))
     parts = [
         "(" + " ".join(names[pt] for pt in cycle) + ")"
         for cycle in cycle_decomposition(p)
@@ -159,15 +132,14 @@ def format_cycles(p: Permutation, names=None) -> str:
 
 # -- finite groups ---------------------------------------------------------
 #
-# The engine works on raw image tuples: ``itemgetter(*q)(p)`` is the product
-# "q first, then p", as a tuple once the degree is at least 2 (on one point
-# itemgetter returns a bare entry).  It is faster than ``tuple(map(...))``.
-# Products of bijections are bijections, so elements are wrapped in
-# Permutation objects only at the end, unchecked.
+# ``itemgetter(*q)(p)`` is the product "q first, then p", as a tuple once
+# the degree is at least 2 (on one point itemgetter returns a bare entry).
+# It is faster than ``tuple(map(...))``.
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A group of permutations, materialized as an explicit element list.
+    """A group of permutations, materialized as an explicit list of image
+    tuples.
 
     Element 0 is the identity; the order of the rest is the breadth-first
     discovery order from the identity, which is deterministic.  The
@@ -178,8 +150,8 @@ class FiniteGroup:
     """
 
     degree: int
-    elements: tuple[Permutation, ...]
-    generators: tuple[Permutation, ...]
+    elements: tuple[tuple[int, ...], ...]
+    generators: tuple[tuple[int, ...], ...]
     right: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
     parent: tuple[int, ...] = field(repr=False, compare=False)
     via: tuple[int, ...] = field(repr=False, compare=False)
@@ -198,7 +170,7 @@ def group_order(degree: int, generators) -> int:
     the orbit of base point i under them.  Every Schreier generator of
     every level is sifted through the levels below it; a non-trivial
     residue becomes a new strong generator.  |G| is the product of the
-    orbit lengths.  ``generators`` is an iterable of Permutations.
+    orbit lengths.  ``generators`` is an iterable of image tuples.
     """
     ident = tuple(range(degree))
     base: list[int] = []
@@ -225,7 +197,7 @@ def group_order(degree: int, generators) -> int:
             for s in strong[level]:
                 if s[pt] not in t:
                     su = itemgetter(*u)(s)
-                    t[s[pt]] = (su, _inverse_images(su))
+                    t[s[pt]] = (su, inverse(su))
                     frontier.append(s[pt])
 
     def sift(h: tuple[int, ...], level: int) -> tuple[tuple[int, ...], int]:
@@ -251,7 +223,7 @@ def group_order(degree: int, generators) -> int:
                 checked[i].add((pt, k))
         return None
 
-    gens = [g for g in dict.fromkeys(p.images for p in generators) if g != ident]
+    gens = [g for g in dict.fromkeys(generators) if g != ident]
     for g in gens:
         if all(g[b] == b for b in base):
             new_level(g)
@@ -277,29 +249,32 @@ def group_order(degree: int, generators) -> int:
 
 def generate_group(
     degree: int,
-    generators: dict[str, Permutation],
+    generators: dict[str, tuple[int, ...]],
     cap: int = DEFAULT_GROUP_CAP,
 ) -> FiniteGroup:
     """Closure of the generators under composition, breadth-first.
 
-    Every generator must have the degree.  The order is checked against
-    ``cap`` first (``group_order``), so a group too large is refused before
-    any element is built.  Closure then composes raw image tuples and
-    records, for ``FiniteGroup``, the index of every product e_i∘g_k and
-    where each element was first reached.
+    Every generator must be a bijection of {0, ..., degree-1}; a caller's
+    tuples reach the engine here without a parser, so this is checked first.
+    The order is checked against ``cap`` next (``group_order``), so a group
+    too large is refused before any element is built.  Closure then composes
+    image tuples and records, for ``FiniteGroup``, the index of every
+    product e_i∘g_k and where each element was first reached.
     """
     if degree < 1:
         raise InvalidDegree(f"degree must be >= 1, got {degree}")
     for name, g in generators.items():
-        if g.degree != degree:
+        if len(g) != degree:
             raise DegreeMismatch(
-                f"generator {name!r} has degree {g.degree}, expected {degree}"
+                f"generator {name!r} has degree {len(g)}, expected {degree}"
             )
+        if sorted(g) != list(range(degree)):
+            raise GcrankError(f"images {g} are not a bijection")
     order = group_order(degree, generators.values())
     if order > cap:
         raise GroupTooLarge(cap, order)
     # times[k](e) is the tuple e∘g_k; on one point every g_k is the identity
-    times = [itemgetter(*g.images) if degree > 1 else tuple
+    times = [itemgetter(*g) if degree > 1 else tuple
              for g in generators.values()]
     start = tuple(range(degree))
     index = {start: 0}
@@ -318,13 +293,10 @@ def generate_group(
                 new_reach(len(table))
                 n += 1
             record(j)
-    wrapped = list(map(object.__new__, repeat(Permutation, n)))
-    for p, images in zip(wrapped, elements):
-        p.__dict__["images"] = images  # unchecked; mapping _unchecked is ~1.2x slower
     stride = len(times) or 1
     return FiniteGroup(
         degree,
-        tuple(wrapped),
+        tuple(elements),
         tuple(generators.values()),
         tuple(tuple(table[k::stride]) for k in range(len(times))),
         tuple(map(floordiv, reached, repeat(stride))),
@@ -367,7 +339,7 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassPartition:
 
 def orbits(group: FiniteGroup) -> list[frozenset[int]]:
     """Orbits of the group on {0, ..., degree-1}, sorted by minimal point."""
-    return list(map(frozenset, _orbits(group.degree, [g.images for g in group.generators])))
+    return list(map(frozenset, _orbits(group.degree, group.generators)))
 
 
 def _orbits(size: int, maps) -> list[list[int]]:

@@ -22,11 +22,15 @@ class RankReport:
 
     symmetry: GlobalSymmetry
     per_element: tuple[int, ...]
-    classes: perms.ConjugacyClassPartition
     orbits: tuple[frozenset[int], ...]
     total_rank: int
     orbit_count: int
     burnside_total: int
+
+    @cached_property
+    def classes(self) -> perms.ConjugacyClassPartition:
+        """Conjugacy classes, built on first use: ``burnside`` reads none."""
+        return perms.conjugacy_classes(self.symmetry.group)
 
     @property
     def per_class(self) -> tuple[tuple[int, int, int], ...]:
@@ -73,7 +77,6 @@ def rank_report(s: GlobalSymmetry) -> RankReport:
     return RankReport(
         symmetry=s,
         per_element=per_element,
-        classes=perms.conjugacy_classes(s.group),
         orbits=orbit_list,
         total_rank=total,
         orbit_count=len(orbit_list),

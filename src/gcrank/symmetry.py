@@ -22,7 +22,7 @@ from .errors import (
 )
 from .mtc import ModularData, ValidationReport, Violation
 from .mtc import decode_json, load_mtc, mtc_from_doc
-from .perms import DEFAULT_GROUP_CAP, FiniteGroup, Permutation
+from .perms import DEFAULT_GROUP_CAP, FiniteGroup
 
 
 @dataclass(frozen=True)
@@ -31,19 +31,19 @@ class GlobalSymmetry:
     group: FiniteGroup
 
 
-def validate_automorphism(m: ModularData, p: Permutation) -> ValidationReport:
-    """Check that p preserves the unit, duals, fusion coefficients, and twists.
+def validate_automorphism(m: ModularData, g: tuple[int, ...]) -> ValidationReport:
+    """Check that the permutation g, the tuple of its images (label x goes
+    to ``g[x]``), preserves the unit, duals, fusion coefficients, and twists.
 
     Duals and twists are compared as whole permuted tuples, fusion by product
     vector ids (see ``mtc``); only what differs is walked label by label, or
     entry by entry for the pairs whose products differ, to list violations."""
-    if p.degree != m.rank:
+    if len(g) != m.rank:
         raise DegreeMismatch(
-            f"permutation degree {p.degree} != number of labels {m.rank}"
+            f"permutation degree {len(g)} != number of labels {m.rank}"
         )
     violations: list[Violation] = []
     lab = m.labels
-    g = p.images
 
     if g[m.unit] != m.unit:
         violations.append(Violation(
@@ -84,7 +84,7 @@ def validate_automorphism(m: ModularData, p: Permutation) -> ValidationReport:
         # each triple once: a flagged (a, b) meets (a, b, c) at entry (a, b, c)
         # and (a, b, g^-1 w) at entry (g a, g b, w).  Kept over decoding packed
         # slots: that is mixed in speed and reorders output
-        ginv = perms.inverse(p).images
+        ginv = perms.inverse(g)
         position = m.entry_positions
         candidates = []
         for a, b in flagged:
@@ -111,7 +111,7 @@ def validate_automorphism(m: ModularData, p: Permutation) -> ValidationReport:
 
 def build_symmetry(
     m: ModularData,
-    generators: dict[str, Permutation],
+    generators: dict[str, tuple[int, ...]],
     cap: int = DEFAULT_GROUP_CAP,
 ) -> GlobalSymmetry:
     """Validate the generators, close them into a group, re-validate everything."""
@@ -133,7 +133,7 @@ def build_symmetry(
 
 # -- symmetry file format --------------------------------------------------
 
-def parse_generator(m: ModularData, spec) -> Permutation:
+def parse_generator(m: ModularData, spec) -> tuple[int, ...]:
     """A generator is either a list of image labels (in declaration order)
     or a cycle-notation string over labels, e.g. ``"(e m)"``."""
     if isinstance(spec, str):
@@ -146,13 +146,13 @@ def parse_generator(m: ModularData, spec) -> Permutation:
         images = tuple(m.label_index(l) for l in spec)
         if len(set(images)) != len(images):
             raise ParseError(f"generator image list {spec!r} repeats a label")
-        return Permutation(images)
+        return images
     raise ParseError(f"generator must be a string or a list, got {spec!r}")
 
 
 def load_symmetry(
     path: str | Path, mtc: ModularData | None = None
-) -> tuple[ModularData, dict[str, Permutation]]:
+) -> tuple[ModularData, dict[str, tuple[int, ...]]]:
     """Read a symmetry file; returns the ModularData and named generators.
 
     The file's "mtc" field (a path relative to the file, or an inline MTC

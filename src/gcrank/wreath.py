@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import perms
 from .errors import InconsistencyError, OutOfRange, ParseError, TooLarge
 from .mtc import ModularData
-from .perms import DEFAULT_GROUP_CAP, FiniteGroup, Permutation
+from .perms import DEFAULT_GROUP_CAP, FiniteGroup
 from .symmetry import GlobalSymmetry, build_symmetry
 
 PARTITION_CAP = 60
@@ -76,9 +76,9 @@ def partitions(n: int) -> list[tuple[int, int, str, str]]:
     return rows
 
 
-def cycle_type_of(p: Permutation) -> tuple[int, ...]:
+def cycle_type_of(p: tuple[int, ...]) -> tuple[int, ...]:
     """The cycle type a of p: a_j is the number of its j-cycles."""
-    a = [0] * p.degree
+    a = [0] * len(p)
     for cycle in perms.cycle_decomposition(p):
         a[len(cycle) - 1] += 1
     return tuple(a)
@@ -175,7 +175,7 @@ def brute_force_wreath_rank(rk: int, group: FiniteGroup) -> int:
     # with n == 1 an itemgetter returns a bare entry, not a 1-tuple, so the
     # moved tuple is compared with ``same(t)``, never with t itself
     same = operator.itemgetter(*range(n))
-    moves = [operator.itemgetter(*e.images) for e in group.elements]
+    moves = [operator.itemgetter(*e) for e in group.elements]
     total = 0
     for t in itertools.product(range(rk), repeat=n):
         key = same(t)
@@ -199,7 +199,7 @@ def parse_preset(spec: str, degree: int) -> tuple[str, int | None] | None:
         return m[1], int(m[2]) if len(m[2].lstrip("-0")) <= len(str(abs(degree))) else None
 
 
-def preset_generators(spec: str, degree: int) -> dict[str, Permutation]:
+def preset_generators(spec: str, degree: int) -> dict[str, tuple[int, ...]]:
     """Named generator sets for "s<k>", "a<k>", "z<k>" (k <= degree, acting
     on the first k points), or explicit comma-separated cycle notation."""
     if degree < 1:
@@ -208,7 +208,8 @@ def preset_generators(spec: str, degree: int) -> dict[str, Permutation]:
     if preset:
         kind, k = preset
         if k is None or not 1 <= k <= degree:
-            raise ParseError(f"group {spec!r} does not fit degree {degree}")
+            shown = spec if len(spec) <= 40 else spec[:40] + "..."
+            raise ParseError(f"group {shown!r} does not fit degree {degree}")
         cycle_k = "(" + " ".join(str(i) for i in range(1, k + 1)) + ")"
         if kind == "z":
             gens = {f"c{k}": cycle_k} if k > 1 else {}
@@ -255,17 +256,17 @@ def materialize_power(m: ModularData, n: int) -> ModularData:
     return ModularData(f"{m.name}^{n}", labels, unit, fusion, dual, twists)
 
 
-def factor_permutation(m: ModularData, n: int, sigma: Permutation) -> Permutation:
+def factor_permutation(m: ModularData, n: int, sigma: tuple[int, ...]) -> tuple[int, ...]:
     """The permutation of product labels moving factor i to slot sigma(i):
     label (t_0, ..., t_{n-1}) = sum_i t_i r^(n-1-i) goes to sum_i t_i r^(n-1-sigma(i))."""
-    if sigma.degree != n:
-        raise OutOfRange(f"sigma has degree {sigma.degree}, expected {n}")
+    if len(sigma) != n:
+        raise OutOfRange(f"sigma has degree {len(sigma)}, expected {n}")
     r = m.rank
     images = [0]
-    for moved_to in sigma.images:  # factor i, outermost first, as labels are numbered
+    for moved_to in sigma:  # factor i, outermost first, as labels are numbered
         weight = r ** (n - 1 - moved_to)
         images = [p + t * weight for p in images for t in range(r)]
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
 def symmetric_power_symmetry(m: ModularData, n: int) -> tuple[ModularData, GlobalSymmetry]:

@@ -188,7 +188,7 @@ class TestRank:
         power = wreath.materialize_power(fib, 5)
         (tmp_path / "fib5.json").write_text(serialize_mtc(power))
         generators = {
-            name: [power.labels[i] for i in wreath.factor_permutation(fib, 5, p).images]
+            name: [power.labels[i] for i in wreath.factor_permutation(fib, 5, p)]
             for name, p in wreath.preset_generators("s5", 5).items()
         }
         sym = tmp_path / "fib5_s5.json"
@@ -217,6 +217,20 @@ class TestBurnside:
         code, out, _ = run(capsys, "burnside", "--sym", TORIC_SWAP, "--json")
         doc = json.loads(out)
         assert doc["fixed_point_sum"] == doc["burnside_total"] == "6"
+
+    @pytest.mark.parametrize("command, calls", [("burnside", 0), ("rank", 1)])
+    def test_classes_built_only_when_printed(self, capsys, monkeypatch, command, calls):
+        seen = []
+        classes = perms.conjugacy_classes
+
+        def spy(group):
+            seen.append(group.order)
+            return classes(group)
+
+        monkeypatch.setattr(perms, "conjugacy_classes", spy)
+        code, _, _ = run(capsys, command, "--sym", TORIC_SWAP)
+        assert code == 0
+        assert len(seen) == calls
 
     def test_trivial_group_singleton_orbits(self, capsys, tmp_path):
         sym = tmp_path / "trivial.json"

@@ -4,14 +4,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import gcrank
+from gcrank import perms, symmetry, wreath
 from gcrank.errors import (
     DegreeMismatch,
+    GcrankError,
     GroupTooLarge,
     InvalidDegree,
     ParseError,
 )
 from gcrank.perms import (
-    Permutation,
     compose,
     conjugacy_classes,
     cycle_decomposition,
@@ -26,7 +28,7 @@ from gcrank.perms import (
 
 
 def permutations(degree):
-    return st.permutations(range(degree)).map(lambda im: Permutation(tuple(im)))
+    return st.permutations(range(degree)).map(tuple)
 
 
 def any_permutation(max_degree=10):
@@ -69,8 +71,8 @@ def reference_classes(group):
     """Conjugacy classes by the loop ``conjugacy_classes`` used before the
     closure's table: each conjugate g x g^-1 composed as an image tuple and
     looked up among the elements."""
-    index = {e.images: i for i, e in enumerate(group.elements)}
-    pairs = [(g.images, inverse(g).images) for g in group.generators]
+    index = {e: i for i, e in enumerate(group.elements)}
+    pairs = [(g, inverse(g)) for g in group.generators]
     assigned = [False] * group.order
     classes = []
     for i, h in enumerate(group.elements):
@@ -78,7 +80,7 @@ def reference_classes(group):
             continue
         assigned[i] = True
         members = [i]
-        frontier = [h.images]
+        frontier = [h]
         for x in frontier:
             for g, ginv in pairs:
                 conj = tuple(map(g.__getitem__, map(x.__getitem__, ginv)))
@@ -93,8 +95,8 @@ def reference_classes(group):
 
 class TestIdentityComposeInverse:
     def test_identity_images(self):
-        assert identity(3).images == (0, 1, 2)
-        assert identity(1).images == (0,)
+        assert identity(3) == (0, 1, 2)
+        assert identity(1) == (0,)
 
     def test_identity_degree_zero_rejected(self):
         with pytest.raises(InvalidDegree):
@@ -111,12 +113,12 @@ class TestIdentityComposeInverse:
 
     def test_composition_convention_right_first(self):
         # pins "apply right argument first": result[i] = p[q[i]]
-        p = Permutation((1, 2, 0))  # the 3-cycle 0 -> 1 -> 2 -> 0
-        q = Permutation((1, 0, 2))  # 0 <-> 1
-        assert compose(p, q).images == (2, 1, 0)
+        p = (1, 2, 0)  # the 3-cycle 0 -> 1 -> 2 -> 0
+        q = (1, 0, 2)  # 0 <-> 1
+        assert compose(p, q) == (2, 1, 0)
 
     def test_three_cycle_has_order_three(self):
-        p = Permutation((1, 2, 0))
+        p = (1, 2, 0)
         assert compose(p, compose(p, p)) == identity(3)
         assert compose(p, p) != identity(3)
 
@@ -128,7 +130,7 @@ class TestIdentityComposeInverse:
         assert inverse(identity(5)) == identity(5)
 
     def test_inverse_reverses_cycle(self):
-        assert inverse(Permutation((1, 2, 0))) == Permutation((2, 0, 1))
+        assert inverse((1, 2, 0)) == (2, 0, 1)
 
     @given(permutations(8))
     def test_inverse_property(self, p):
@@ -156,11 +158,11 @@ class TestCycleDecomposition:
 
     @given(any_permutation())
     def test_round_trip(self, p):
-        images = list(range(p.degree))
+        images = list(range(len(p)))
         for cycle in cycle_decomposition(p):
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 images[a] = b
-        assert Permutation(tuple(images)) == p
+        assert tuple(images) == p
 
 
 class TestCycleNotation:
@@ -187,26 +189,23 @@ class TestCycleNotation:
 
     @given(any_permutation())
     def test_format_parse_round_trip(self, p):
-        assert parse_cycles(format_cycles(p), p.degree) == p
+        assert parse_cycles(format_cycles(p), len(p)) == p
 
     @given(any_permutation(), st.data())
     def test_labelled_round_trip(self, p, data):
         # labels are cycle-notation tokens: no whitespace, no parentheses
         token = st.text("ab1*_σψ", min_size=1, max_size=4)
         labels = data.draw(
-            st.lists(token, min_size=p.degree, max_size=p.degree, unique=True)
+            st.lists(token, min_size=len(p), max_size=len(p), unique=True)
         )
-        assert parse_cycles(format_cycles(p, labels), p.degree, labels.index) == p
+        assert parse_cycles(format_cycles(p, labels), len(p), labels.index) == p
 
 
 class TestGenerateGroup:
     def test_s3_from_transposition_and_cycle(self):
         group = generate_group(3, S3_GENS)
         assert group.order == 6
-        all_perms = {
-            Permutation(im) for im in itertools.permutations(range(3))
-        }
-        assert set(group.elements) == all_perms
+        assert set(group.elements) == set(itertools.permutations(range(3)))
 
     def test_empty_generators_give_trivial_group(self):
         group = generate_group(4, {})
@@ -237,6 +236,15 @@ class TestGenerateGroup:
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatch):
             generate_group(4, {"t": parse_cycles("(1 2)", 3)})
+
+    @pytest.mark.parametrize("images", [(0, 0), (1, 2)])
+    def test_non_bijection_refused_before_order(self, monkeypatch, images):
+        def no_order(degree, generators):
+            raise AssertionError("group_order ran on a non-bijection")
+
+        monkeypatch.setattr(perms, "group_order", no_order)
+        with pytest.raises(GcrankError, match=r"are not a bijection"):
+            generate_group(2, {"g": images})
 
     def test_identity_is_element_zero(self):
         group = generate_group(3, S3_GENS)
@@ -310,7 +318,7 @@ class TestConjugacyClasses:
         lambda d: st.lists(permutations(d), min_size=0, max_size=3)))
     @settings(max_examples=80, deadline=None, derandomize=True)
     def test_random_generators_equal_reference(self, gens):
-        degree = gens[0].degree if gens else 4
+        degree = len(gens[0]) if gens else 4
         group = generate_group(degree, {f"g{i}": g for i, g in enumerate(gens)})
         assert conjugacy_classes(group).classes == reference_classes(group)
 
@@ -321,6 +329,24 @@ class TestConjugacyClasses:
         sizes = [len(c) for c in conjugacy_classes(group).classes]
         assert sum(sizes) == group.order
         assert all(group.order % s == 0 for s in sizes)
+
+
+def test_permutations_are_image_tuples():
+    """Every permutation the library hands out is a plain tuple of images."""
+    def exact_tuples(ps):
+        ps = list(ps)
+        assert ps and all(type(p) is tuple and all(type(i) is int for i in p) for p in ps)
+
+    exact_tuples([parse_cycles("(1 2 3)", 4), identity(2), inverse((1, 0)),
+                  compose((1, 2, 0), (1, 0, 2))])
+    _, gens = symmetry.load_symmetry(gcrank.bundled_data_path("toric_code_swap.json"))
+    exact_tuples(gens.values())
+    exact_tuples(wreath.preset_generators("a6", 6).values())
+    group = generate_group(4, {"t": parse_cycles("(1 2)", 4), "c": parse_cycles("(1 2 3 4)", 4)})
+    exact_tuples(group.elements)
+    exact_tuples(group.generators)
+    _, rows = wreath.rank_wreath_subgroup(3, group)
+    exact_tuples(row[2] for row in rows)
 
 
 class TestFixedPointsAndOrbits:
@@ -353,7 +379,7 @@ class TestFixedPointsAndOrbits:
     )
     @settings(max_examples=40, deadline=None)
     def test_burnside_identity(self, gens):
-        degree = gens[0].degree
+        degree = len(gens[0])
         try:
             group = generate_group(
                 degree, {f"g{i}": g for i, g in enumerate(gens)}, cap=10**4

@@ -12,7 +12,7 @@ import gcrank
 from gcrank import cli, perms, symmetry, wreath
 from gcrank.errors import DegreeMismatch, NotAnAutomorphism, ParseError
 from gcrank.mtc import ModularData, Violation
-from gcrank.perms import Permutation, compose, format_cycles, identity
+from gcrank.perms import compose, format_cycles, identity
 from gcrank.symmetry import (
     build_symmetry,
     load_symmetry,
@@ -23,10 +23,10 @@ from gcrank.symmetry import (
 from conftest import fixture_path
 
 
-def reference_automorphism(m, p):
+def reference_automorphism(m, g):
     """The violations of ``validate_automorphism`` by the loop it used before
     the whole-map test: every support triple and its preimage, in order."""
-    lab, g = m.labels, p.images
+    lab = m.labels
     violations = []
     if g[m.unit] != m.unit:
         violations.append(Violation(
@@ -44,7 +44,7 @@ def reference_automorphism(m, p):
                 f"twist({lab[x]!r}) = {m.twists[x]} but "
                 f"twist({lab[g[x]]!r}) = {m.twists[g[x]]}",
             ))
-    ginv = perms.inverse(p).images
+    ginv = perms.inverse(g)
     seen = set()
     for (x, y, z) in m.fusion:
         for (a, b, c) in ((x, y, z), (ginv[x], ginv[y], ginv[z])):
@@ -70,11 +70,10 @@ def _power_automorphisms(name, n, first_factor=None):
         for k, p in wreath.preset_generators(f"s{n}", n).items()
     }
     if first_factor:
-        moved = parse_generator(base, first_factor).images
+        moved = parse_generator(base, first_factor)
         tuples = list(itertools.product(range(base.rank), repeat=n))
         index = {t: i for i, t in enumerate(tuples)}
-        gens["first"] = Permutation(
-            tuple(index[(moved[t[0]],) + t[1:]] for t in tuples))
+        gens["first"] = tuple(index[(moved[t[0]],) + t[1:]] for t in tuples)
     return power, perms.generate_group(power.rank, gens).elements
 
 
@@ -106,9 +105,9 @@ MILLION_TORIC = (
 def _unit_moved(m, automorphisms):
     """m with its last automorphism changed to exchange the unit's image and
     label 1's: the unit moves and many fusion entries disagree."""
-    images = list(automorphisms[-1].images)
+    images = list(automorphisms[-1])
     images[m.unit], images[1] = images[1], images[m.unit]
-    return m, Permutation(tuple(images))
+    return m, tuple(images)
 
 
 # failing generators whose flagged pairs the fusion fallback walks
@@ -129,11 +128,11 @@ def broken_generators(draw):
     the unit moves, or two labels swap, and many N disagree."""
     m, automorphisms = draw(st.sampled_from(
         AUTOMORPHISM_CASES + [FIBONACCI_4, MILLION_TORIC]))
-    images = list(draw(st.sampled_from(automorphisms)).images)
+    images = list(draw(st.sampled_from(automorphisms)))
     i = m.unit if draw(st.booleans()) else draw(st.integers(0, m.rank - 1))
     j = draw(st.integers(0, m.rank - 1).filter(lambda j: j != i))
     images[i], images[j] = images[j], images[i]
-    return m, Permutation(tuple(images))
+    return m, tuple(images)
 
 
 def slot_permuted_ring(low, high):
@@ -170,12 +169,12 @@ def labelled_permutations(draw):
     if kind == "random":
         images = draw(st.permutations(range(m.rank)))
     else:
-        images = list(draw(st.sampled_from(automorphisms)).images)
+        images = list(draw(st.sampled_from(automorphisms)))
         if kind == "near-miss":
             i = draw(st.integers(0, m.rank - 1))
             j = draw(st.integers(0, m.rank - 1))
             images[i], images[j] = images[j], images[i]
-    return m, Permutation(tuple(images))
+    return m, tuple(images)
 
 
 class TestValidateAutomorphism:
@@ -187,7 +186,7 @@ class TestValidateAutomorphism:
     def test_exhaustive_fusion_check(self, toric_code):
         # the swap preserves every one of the 64 fusion triples
         swap = parse_generator(toric_code, "(e m)")
-        g = swap.images
+        g = swap
         for x, y, z in itertools.product(range(4), repeat=3):
             assert toric_code.n(g[x], g[y], g[z]) == toric_code.n(x, y, z)
 
@@ -250,9 +249,9 @@ class TestValidateAutomorphism:
     def test_unit_moves_list_hundreds(self, case):
         m, automorphisms = (AUTOMORPHISM_CASES + [FIBONACCI_4])[case]
         for j in range(1, m.rank, 5):
-            images = list(automorphisms[-1].images)
+            images = list(automorphisms[-1])
             images[m.unit], images[j] = images[j], images[m.unit]
-            p = Permutation(tuple(images))
+            p = tuple(images)
             violations = list(validate_automorphism(m, p).violations)
             assert violations == reference_automorphism(m, p)
             assert len(violations) >= 100
@@ -273,8 +272,7 @@ class TestValidateAutomorphism:
         m = dataclasses.replace(gcrank.load_mtc(fixture_path("z4.json")),
                                 twists=(Fraction(0),) * 4)
         rules = []
-        for images in itertools.permutations(range(4)):
-            p = Permutation(images)
+        for p in itertools.permutations(range(4)):
             violations = list(validate_automorphism(m, p).violations)
             assert violations == reference_automorphism(m, p)
             rules.append({v.rule for v in violations})
@@ -284,14 +282,13 @@ class TestValidateAutomorphism:
     def test_slot_permuted_vectors(self, low, high):
         m = slot_permuted_ring(low, high)
         passing = []
-        for images in itertools.permutations(range(4)):
-            p = Permutation(images)
+        for p in itertools.permutations(range(4)):
             violations = list(validate_automorphism(m, p).violations)
             assert violations == reference_automorphism(m, p)
             if not violations:
-                passing.append(images)
+                passing.append(p)
         assert passing == [(0, 1, 2, 3)]
-        swap = validate_automorphism(m, Permutation((0, 1, 3, 2))).violations
+        swap = validate_automorphism(m, (0, 1, 3, 2)).violations
         assert [v.indices for v in swap][:2] == [(1, 1, 2), (1, 1, 3)]
 
 
@@ -305,9 +302,9 @@ class TestBuildSymmetry:
 
     def test_fibonacci_has_no_nontrivial_symmetry(self, fibonacci):
         passing = [
-            Permutation(im)
+            tuple(im)
             for im in itertools.permutations(range(2))
-            if validate_automorphism(fibonacci, Permutation(im)).ok
+            if validate_automorphism(fibonacci, tuple(im)).ok
         ]
         assert passing == [identity(2)]
 
@@ -358,7 +355,7 @@ class TestBuildSymmetry:
         base = fibonacci if n == 3 else ising
         power = wreath.materialize_power(base, n)
         for im in itertools.permutations(range(n)):
-            lifted = wreath.factor_permutation(base, n, Permutation(im))
+            lifted = wreath.factor_permutation(base, n, tuple(im))
             report = validate_automorphism(power, lifted)
             assert report.ok, report.violations
 

@@ -15,7 +15,6 @@ pytest.importorskip("sympy")
 from sympy import combinatorics as sympy_comb  # noqa: E402
 
 from gcrank.perms import (  # noqa: E402
-    Permutation,
     conjugacy_classes,
     generate_group,
     group_order,
@@ -40,7 +39,7 @@ NAMED_DEGREE_8 = {
 
 
 def check_against_sympy(degree, images):
-    gens = {f"g{i}": Permutation(im) for i, im in enumerate(images)}
+    gens = {f"g{i}": tuple(im) for i, im in enumerate(images)}
     group = generate_group(degree, gens)
     # the identity fixes the degree even when there are no generators
     oracle = sympy_comb.PermutationGroup(
@@ -61,5 +60,5 @@ def test_order_and_class_sizes_match_sympy(degree_and_gens):
 
 @pytest.mark.parametrize("name", sorted(NAMED_DEGREE_8))
 def test_named_degree_8_groups_match_sympy(name):
-    images = [parse_cycles(c, 8).images for c in NAMED_DEGREE_8[name]]
+    images = [parse_cycles(c, 8) for c in NAMED_DEGREE_8[name]]
     check_against_sympy(8, images)

@@ -12,7 +12,7 @@ from gcrank import perms, rank, wreath
 from gcrank.cli import main
 from gcrank.errors import OutOfRange, TooLarge
 from gcrank.mtc import ModularData
-from gcrank.perms import Permutation, parse_cycles
+from gcrank.perms import parse_cycles
 from gcrank.wreath import (
     brute_force_wreath_rank,
     cycle_type_of,
@@ -75,7 +75,7 @@ def count_s_n_by_cycle_type(n):
     """Brute-force census of S_n elements grouped by cycle type."""
     census = {}
     for im in itertools.permutations(range(n)):
-        a = cycle_type_of(Permutation(im))
+        a = cycle_type_of(tuple(im))
         census[a] = census.get(a, 0) + 1
     return census
 
@@ -187,7 +187,7 @@ class TestCycleTypeOf:
         assert sum(a) == 2
 
     @given(st.integers(1, 8).flatmap(
-        lambda d: st.permutations(range(d)).map(lambda im: Permutation(tuple(im)))
+        lambda d: st.permutations(range(d)).map(tuple)
     ))
     def test_agrees_with_cycle_decomposition(self, p):
         cycles = perms.cycle_decomposition(p)
@@ -367,7 +367,7 @@ class TestBruteForce:
         orbit_reps = set()
         for t in tuples:
             images = frozenset(
-                tuple(t[perms.inverse(e).images[i]] for i in range(3))
+                tuple(t[perms.inverse(e)[i]] for i in range(3))
                 for e in group.elements
             )
             orbit_reps.add(images)
@@ -381,11 +381,11 @@ class TestBruteForce:
             r = rng.randint(1, 4)
             images = list(range(n))
             rng.shuffle(images)
-            gens = {"g": Permutation(tuple(images))}
+            gens = {"g": tuple(images)}
             if rng.random() < 0.5:
                 images2 = list(range(n))
                 rng.shuffle(images2)
-                gens["h"] = Permutation(tuple(images2))
+                gens["h"] = tuple(images2)
             group = perms.generate_group(n, gens)
             total, _ = rank_wreath_subgroup(r, group)
             assert total == brute_force_wreath_rank(r, group)
@@ -447,9 +447,9 @@ def reference_factor_permutation(m, n, sigma):
     for t in tuples:
         moved = [0] * n
         for i, val in enumerate(t):
-            moved[sigma.images[i]] = val
+            moved[sigma[i]] = val
         images.append(index[tuple(moved)])
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
 POWER_CASES = ([("ising", n) for n in range(1, 5)] + [("fibonacci", n) for n in range(1, 7)]
@@ -472,8 +472,7 @@ class TestMaterializedPower:
     @pytest.mark.parametrize("base, n", [(b, n) for b, n in POWER_CASES if n <= 4])
     def test_factor_permutation_equals_reference(self, request, base, n):
         m = request.getfixturevalue(base)
-        for images in itertools.permutations(range(n)):
-            sigma = Permutation(images)
+        for sigma in itertools.permutations(range(n)):
             assert (wreath.factor_permutation(m, n, sigma)
                     == reference_factor_permutation(m, n, sigma))
 
@@ -498,8 +497,7 @@ class TestMaterializedPower:
 
     def test_factor_permutation_is_homomorphism(self, ising):
         n = 3
-        for im1, im2 in itertools.product(itertools.permutations(range(n)), repeat=2):
-            p, q = Permutation(im1), Permutation(im2)
+        for p, q in itertools.product(itertools.permutations(range(n)), repeat=2):
             lifted = wreath.factor_permutation(ising, n, perms.compose(p, q))
             composed = perms.compose(
                 wreath.factor_permutation(ising, n, p),

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import gcrank
 from gcrank import perms, wreath
 from gcrank.cli import main
-from gcrank.perms import Permutation
 
 from conftest import a_of
 
@@ -111,7 +110,7 @@ generator_specs = st.integers(1, 7).flatmap(
     lambda d: st.tuples(
         st.just(d),
         st.lists(st.permutations(range(d)), max_size=3).map(
-            lambda gens: ",".join(perms.format_cycles(Permutation(tuple(g))) for g in gens)
+            lambda gens: ",".join(perms.format_cycles(tuple(g)) for g in gens)
         ),
     )
 )
