@@ -20,6 +20,7 @@ from .errors import (
     DegreeMismatch,
     GcrankError,
     GroupTooLarge,
+    InconsistencyError,
     InvalidDegree,
     ParseError,
 )
@@ -254,16 +255,20 @@ def generate_group(
 ) -> FiniteGroup:
     """Closure of the generators under composition, breadth-first.
 
-    Every generator must be a bijection of {0, ..., degree-1}; a caller's
-    tuples reach the engine here without a parser, so this is checked first.
-    The order is checked against ``cap`` next (``group_order``), so a group
-    too large is refused before any element is built.  Closure then composes
-    image tuples and records, for ``FiniteGroup``, the index of every
-    product e_i∘g_k and where each element was first reached.
+    Every generator must be a tuple of ints that is a bijection of
+    {0, ..., degree-1}; a caller's tuples reach the engine here without a
+    parser, so this is checked first.  The order is checked against ``cap``
+    next (``group_order``), so a group too large is refused before any
+    element is built.  Closure then composes image tuples and records, for
+    ``FiniteGroup``, the index of every product e_i∘g_k and where each
+    element was first reached.  Its element count must equal that order: two
+    independent routes to |G|.
     """
     if degree < 1:
         raise InvalidDegree(f"degree must be >= 1, got {degree}")
     for name, g in generators.items():
+        if type(g) is not tuple or any(type(x) is not int for x in g):
+            raise GcrankError(f"images {g!r} are not a tuple of ints")
         if len(g) != degree:
             raise DegreeMismatch(
                 f"generator {name!r} has degree {len(g)}, expected {degree}"
@@ -293,6 +298,9 @@ def generate_group(
                 new_reach(len(table))
                 n += 1
             record(j)
+    if n != order:
+        raise InconsistencyError(
+            f"group closure has {n} elements but Schreier-Sims order is {order}")
     stride = len(times) or 1
     return FiniteGroup(
         degree,

@@ -1,7 +1,9 @@
-"""The merge step of ``tools/bench_record.py`` on canned result lines."""
+"""``tools/bench_record.py``: the merge step on canned result lines, and
+one run with ``subprocess.run`` stubbed."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -53,3 +55,23 @@ def test_merge_keeps_seed_order_and_takes_medians(bench_record):
     row = block["metrics"]["job_wall_s.p50"]
     assert row["values"] == {"change": [0.05, 0.01, 0.03]}
     assert row["median"] == {"change": 0.03}
+
+
+def test_run_once_starts_from_source(bench_record, tmp_path, monkeypatch):
+    """Bytecode caches under src/ are gone before the run, and the run is
+    told to write none."""
+    cache = tmp_path / "src" / "gcrank" / "__pycache__"
+    cache.mkdir(parents=True)
+    (cache / "x.pyc").write_bytes(b"")
+    line = result_line(True, 0, 0.03, 0)
+    seen = {}
+
+    def fake_run(argv, **kwargs):
+        seen.update(kwargs, cache_left=cache.exists())
+        return subprocess.CompletedProcess(argv, 0, stdout=f"a run\n{line}\n")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    assert bench_record.run_once(tmp_path, "mtc-symmetry", 1, 4, 0) == line
+    assert seen["cwd"] == tmp_path
+    assert seen["cache_left"] is False
+    assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import gcrank
-from gcrank import errors, perms, rank, symmetry
+from gcrank import errors, perms, rank
 from gcrank.cli import main
 from gcrank.mtc import ValidationReport, Violation
 from gcrank.perms import generate_group, identity
@@ -104,6 +104,10 @@ LIBRARY_CASES = {
                           "degree must be >= 1, got 0"),
     "non-bijective-permutation": (lambda: generate_group(2, {"g": (0, 0)}),
                                   errors.GcrankError, "images (0, 0) are not a bijection"),
+    "list-generator": (lambda: generate_group(2, {"g": [1, 0]}),
+                       errors.GcrankError, "images [1, 0] are not a tuple of ints"),
+    "float-image": (lambda: generate_group(2, {"g": (1.0, 0)}),
+                    errors.GcrankError, "images (1.0, 0) are not a tuple of ints"),
 }
 
 
@@ -151,22 +155,24 @@ def test_huge_integer_literal_is_a_parse_error(capsys, tmp_path, argv, doc):
 TORIC_SWAP = str(gcrank.bundled_data_path("toric_code_swap.json"))
 
 
-def test_group_element_failing_revalidation(capsys, monkeypatch):
-    """build_symmetry re-validates every element of the closure; a closure
-    that returns a unit-moving element although the generators all pass
-    fails with InconsistencyError."""
-    generate_group = symmetry.perms.generate_group
+# generate_group compares its closure's element count with the Schreier-Sims
+# order; a stub order of 3 disagrees with the 2 elements of a swap's group
+CLOSURE_MISMATCH = "group closure has 2 elements but Schreier-Sims order is 3"
 
-    def broken_closure(degree, generators, cap):
-        return generate_group(degree, {"bad": perms.parse_cycles("(1 2)", degree)},
-                              cap=cap)
 
-    monkeypatch.setattr(symmetry.perms, "generate_group", broken_closure)
+def test_closure_size_disagreeing_with_order(capsys, monkeypatch):
+    monkeypatch.setattr(perms, "group_order", lambda degree, generators: 3)
     assert main(["rank", "--sym", TORIC_SWAP]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: group element (1 2) fails validation "
-                            "although all generators passed\n")
+    assert captured.err == f"error: {CLOSURE_MISMATCH}\n"
+
+
+def test_library_closure_size_disagreeing_with_order(monkeypatch):
+    monkeypatch.setattr(perms, "group_order", lambda degree, generators: 3)
+    with pytest.raises(errors.InconsistencyError) as info:
+        generate_group(2, {"g": (1, 0)})
+    assert str(info.value) == CLOSURE_MISMATCH
 
 
 def test_burnside_check_failing(capsys, monkeypatch):

@@ -246,6 +246,16 @@ class TestGenerateGroup:
         with pytest.raises(GcrankError, match=r"are not a bijection"):
             generate_group(2, {"g": images})
 
+    @pytest.mark.parametrize("images", [[1, 0], (1.0, 0), (True, False), "10", 5],
+                             ids=["list", "float", "bool", "str", "int"])
+    def test_non_tuple_of_ints_refused_before_order(self, monkeypatch, images):
+        def no_order(degree, generators):
+            raise AssertionError("group_order ran on a generator not a tuple of ints")
+
+        monkeypatch.setattr(perms, "group_order", no_order)
+        with pytest.raises(GcrankError, match=r"are not a tuple of ints"):
+            generate_group(2, {"g": images})
+
     def test_identity_is_element_zero(self):
         group = generate_group(3, S3_GENS)
         assert group.elements[0] == identity(3)
