@@ -20,7 +20,7 @@ from .perms import (
     parse_cycles,
 )
 from .rank import RankReport, rank_report
-from .symmetry import GlobalSymmetry, build_symmetry, load_symmetry, validate_automorphism
+from .symmetry import build_symmetry, load_symmetry, validate_automorphism
 from .wreath import (
     RankPolynomial,
     brute_force_wreath_rank,

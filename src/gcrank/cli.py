@@ -28,7 +28,7 @@ def _print_json(doc) -> None:
 def _load_symmetry(args):
     mtc = load_mtc(args.mtc) if args.mtc else None
     mtc, generators = symmetry.load_symmetry(args.sym, mtc=mtc)
-    return symmetry.build_symmetry(mtc, generators, cap=args.cap)
+    return mtc.labels, symmetry.build_symmetry(mtc, generators, cap=args.cap)
 
 
 def _print_violations(title: str, report) -> None:
@@ -83,23 +83,6 @@ def cmd_validate(args) -> int:
     return 0 if ok else 1
 
 
-def _render_rank_table(report: rank.RankReport, by_class: bool) -> None:
-    s = report.symmetry
-    # large groups are unreadable element-by-element
-    if by_class or s.group.order > 50:
-        first, rows = "representative", report.per_class
-    else:
-        first = "element"
-        rows = [(i, report.class_sizes[i], rk) for i, rk in enumerate(report.per_element)]
-    _print_table((first, "class size", "rank"), [
-        (perms.format_cycles(s.group.elements[i], s.mtc.labels), str(size), str(rk))
-        for i, size, rk in rows
-    ])
-    print(f"group order: {s.group.order}")
-    print(f"orbit count: {report.orbit_count}")
-    print(f"total rank:  {report.total_rank}")
-
-
 def _print_table(header: tuple[str, ...], rows) -> None:
     widths = [
         max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
@@ -111,32 +94,58 @@ def _print_table(header: tuple[str, ...], rows) -> None:
 
 
 def cmd_rank(args) -> int:
-    s = _load_symmetry(args)
-    report = rank.rank_report(s)
+    labels, group = _load_symmetry(args)
+    report = rank.rank_report(group)
+    classes = perms.conjugacy_classes(group).classes
+    class_size = [0] * group.order  # by element index
+    for cls in classes:
+        for i in cls:
+            class_size[i] = len(cls)
     if args.json:
-        _print_json(report.to_json_dict())
+        names = perms.point_names(group.degree)
+        _print_json({
+            "per_element": [
+                {"element": perms.format_cycles(e, names), "class_size": size,
+                 "rank": str(rk)}
+                for e, size, rk in zip(group.elements, class_size, report.per_element)
+            ],
+            "total_rank": str(report.total_rank),
+            "orbit_count": len(report.orbits),
+            "group_order": group.order,
+        })
+        return 0
+    # large groups are unreadable element-by-element
+    if args.by_class or group.order > 50:
+        first, rows = "representative", [cls[0] for cls in classes]
     else:
-        _render_rank_table(report, args.by_class)
+        first, rows = "element", range(group.order)
+    _print_table((first, "class size", "rank"), [
+        (perms.format_cycles(group.elements[i], labels), str(class_size[i]),
+         str(report.per_element[i]))
+        for i in rows
+    ])
+    print(f"group order: {group.order}")
+    print(f"orbit count: {len(report.orbits)}")
+    print(f"total rank:  {report.total_rank}")
     return 0
 
 
 def cmd_burnside(args) -> int:
-    s = _load_symmetry(args)
-    report = rank.rank_report(s)
-    labels = s.mtc.labels
+    labels, group = _load_symmetry(args)
+    report = rank.rank_report(group)
     orbits = [[labels[i] for i in sorted(o)] for o in report.orbits]
     if args.json:
         _print_json({
             "orbits": orbits,
-            "orbit_count": report.orbit_count,
-            "group_order": s.group.order,
+            "orbit_count": len(orbits),
+            "group_order": group.order,
             "fixed_point_sum": str(report.total_rank),
             "burnside_total": str(report.burnside_total),
         })
     else:
         for orbit in orbits:
             print("{" + ", ".join(orbit) + "}")
-        print(f"orbit count: {report.orbit_count}")
+        print(f"orbit count: {len(orbits)}")
         print(f"sum of fixed points:   {report.total_rank}")
         print(f"|G| x orbit count:     {report.burnside_total}")
     return 0

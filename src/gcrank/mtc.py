@@ -241,12 +241,16 @@ def mtc_from_doc(doc) -> ModularData:
     )
 
 
-def load_mtc(path: str | Path) -> ModularData:
+def read_data_file(path: str | Path) -> bytes:
+    """The bytes of an MTC or symmetry file."""
     try:
-        source = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except ValueError as exc:  # a NUL byte in the path
         raise ParseError(f"cannot read {str(path)!r}: {exc}") from None
-    return parse_mtc(source)
+
+
+def load_mtc(path: str | Path) -> ModularData:
+    return parse_mtc(read_data_file(path))
 
 
 def serialize_mtc(m: ModularData) -> str:

@@ -11,21 +11,14 @@ global symmetry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter, lshift
 from pathlib import Path
 
 from . import perms
 from .errors import DegreeMismatch, NotAnAutomorphism, ParseError
 from .mtc import ModularData, ValidationReport, Violation
-from .mtc import decode_json, load_mtc, mtc_from_doc
+from .mtc import decode_json, load_mtc, mtc_from_doc, read_data_file
 from .perms import DEFAULT_GROUP_CAP, FiniteGroup
-
-
-@dataclass(frozen=True)
-class GlobalSymmetry:
-    mtc: ModularData
-    group: FiniteGroup
 
 
 def validate_automorphism(m: ModularData, g: tuple[int, ...]) -> ValidationReport:
@@ -110,14 +103,14 @@ def build_symmetry(
     m: ModularData,
     generators: dict[str, tuple[int, ...]],
     cap: int = DEFAULT_GROUP_CAP,
-) -> GlobalSymmetry:
-    """Validate the generators and close them into a group; the elements
-    need no check of their own (see the module docstring)."""
+) -> FiniteGroup:
+    """Validate the generators and return the group they generate on the
+    labels; its elements need no check of their own (see the module docstring)."""
     for name, p in generators.items():
         report = validate_automorphism(m, p)
         if not report.ok:
             raise NotAnAutomorphism(name, report)
-    return GlobalSymmetry(m, perms.generate_group(m.rank, generators, cap=cap))
+    return perms.generate_group(m.rank, generators, cap=cap)
 
 
 # -- symmetry file format --------------------------------------------------
@@ -148,7 +141,7 @@ def load_symmetry(
     document) is used unless an explicit ModularData is supplied.
     """
     path = Path(path)
-    doc = decode_json(path.read_bytes())
+    doc = decode_json(read_data_file(path))
     if not isinstance(doc, dict) or not isinstance(doc.get("generators"), dict):
         raise ParseError('symmetry file must be an object with a "generators" object')
     if mtc is None:

@@ -20,7 +20,7 @@ from . import perms
 from .errors import InconsistencyError, OutOfRange, ParseError, TooLarge
 from .mtc import ModularData
 from .perms import DEFAULT_GROUP_CAP, FiniteGroup
-from .symmetry import GlobalSymmetry, build_symmetry
+from .symmetry import build_symmetry
 
 PARTITION_CAP = 60
 BRUTE_FORCE_CAP = 10**7
@@ -269,8 +269,8 @@ def factor_permutation(m: ModularData, n: int, sigma: tuple[int, ...]) -> tuple[
     return tuple(images)
 
 
-def symmetric_power_symmetry(m: ModularData, n: int) -> tuple[ModularData, GlobalSymmetry]:
-    """C^n with the full factor-permutation action of S_n, validated."""
+def symmetric_power_symmetry(m: ModularData, n: int) -> tuple[ModularData, FiniteGroup]:
+    """C^n and S_n permuting its factors as a group on its labels, validated."""
     power = materialize_power(m, n)
     gens = preset_generators(f"s{n}", n)
     lifted = {

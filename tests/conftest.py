@@ -34,6 +34,6 @@ def toric_code():
 
 @pytest.fixture(scope="session")
 def toric_swap(toric_code):
-    """Z_2 symmetry of the toric code exchanging e and m."""
+    """The group Z_2 on the toric code's labels, exchanging e and m."""
     swap = symmetry.parse_generator(toric_code, "(e m)")
     return symmetry.build_symmetry(toric_code, {"swap_em": swap})

@@ -19,7 +19,8 @@ from gcrank.cli import main
 from gcrank.mtc import ValidationReport, Violation
 from gcrank.perms import generate_group, identity
 
-FIB = json.loads(Path(gcrank.bundled_data_path("fibonacci.json")).read_text())
+FIB_PATH = str(gcrank.bundled_data_path("fibonacci.json"))
+FIB = json.loads(Path(FIB_PATH).read_text())
 TWISTS = FIB["twists"]
 
 
@@ -83,6 +84,12 @@ CLI_CASES = {
     "symmetry-without-mtc": (
         ["rank", "--sym"], {"generators": {}}, 2,
         'error: symmetry file has no "mtc" field and none was supplied\n'),
+    # a NUL byte in a symmetry file's path, read as an MTC path is; validate
+    # runs with --json, as its text output prints the MTC's verdict first
+    **{f"nul-in-sym-path-{argv[0]}": (
+        [*argv, "--sym", "a\x00b"], None, 2,
+        "error: cannot read 'a\\x00b': embedded null byte\n")
+       for argv in (["rank"], ["burnside"], ["validate", "--mtc", FIB_PATH, "--json"])},
 }
 
 

@@ -14,7 +14,9 @@ CLI parser was cached and ``mtc_from_doc`` parsed fusion entries in one loop;
 Z_4 is not self-dual, so they fire the dual rules the other files cannot.
 Its unit is "0", and ``validate_z4_bad_duals`` was recorded again when the
 unit-law and duality messages began to write the unit's label where they
-wrote a literal 1.  To record the files again after an intended
+wrote a literal 1.  The ``rank`` and ``burnside`` text cases were recorded
+before the rank report lost its symmetry, class and JSON views and the CLI
+took over rendering ``rank``.  To record the files again after an intended
 output change, run ``PYTHONPATH=src python tests/test_golden.py`` from the
 repository root and review the diff; it prints the digests to pin.
 """
@@ -51,6 +53,8 @@ CASES = {
     "rank_toric_swap": ["rank", "--sym", TORIC_SWAP, "--json"],
     "rank_toric_swap_by_class": ["rank", "--sym", TORIC_SWAP, "--by-class"],
     "burnside_toric_swap": ["burnside", "--sym", TORIC_SWAP, "--json"],
+    "rank_toric_swap_text": ["rank", "--sym", TORIC_SWAP],
+    "burnside_toric_swap_text": ["burnside", "--sym", TORIC_SWAP],
     "poly_n30": ["poly", "--n", "30", "--json"],
     "poly_n7_text": ["poly", "--n", "7"],
     "poly_n61_out_of_range": ["poly", "--n", "61"],

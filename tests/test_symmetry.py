@@ -294,11 +294,11 @@ class TestValidateAutomorphism:
 
 class TestBuildSymmetry:
     def test_toric_swap_group_order_two(self, toric_swap):
-        assert toric_swap.group.order == 2
+        assert toric_swap.order == 2
 
     def test_empty_generators_trivial_group(self, ising):
         s = build_symmetry(ising, {})
-        assert s.group.order == 1
+        assert s.order == 1
 
     def test_fibonacci_has_no_nontrivial_symmetry(self, fibonacci):
         passing = [
@@ -320,7 +320,7 @@ class TestBuildSymmetry:
         monkeypatch.setattr(symmetry, "validate_automorphism", spy)
         power, s = wreath.symmetric_power_symmetry(ising, 4)
         generators = wreath.preset_generators("s4", 4)
-        assert s.group.order == 24
+        assert s.order == 24
         assert len(calls) == len(generators)
         assert builds == [power]
 
@@ -332,7 +332,7 @@ class TestBuildSymmetry:
         m, automorphisms = data.draw(st.sampled_from(AUTOMORPHISM_CASES))
         chosen = data.draw(st.lists(st.sampled_from(automorphisms), min_size=1, max_size=3))
         s = build_symmetry(m, {f"g{i}": p for i, p in enumerate(chosen)})
-        for element in s.group.elements:
+        for element in s.elements:
             assert validate_automorphism(m, element).violations == ()
 
     @pytest.mark.parametrize("command", ["validate", "rank"])
@@ -355,9 +355,9 @@ class TestBuildSymmetry:
         with pytest.raises(NotAnAutomorphism):
             build_symmetry(ising, {"bad": parse_generator(ising, "(1 psi)")})
 
-    def test_validation_closed_under_composition(self, toric_swap):
-        m = toric_swap.mtc
-        for p, q in itertools.product(toric_swap.group.elements, repeat=2):
+    def test_validation_closed_under_composition(self, toric_swap, toric_code):
+        m = toric_code
+        for p, q in itertools.product(toric_swap.elements, repeat=2):
             assert validate_automorphism(m, compose(p, q)).ok
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -401,7 +401,7 @@ class TestSymmetryFiles:
         with pytest.raises(NotAnAutomorphism):
             build_symmetry(mtc, gens)
 
-    def test_label_cycles_rendering(self, toric_swap):
-        labels = toric_swap.mtc.labels
-        strs = {format_cycles(e, labels) for e in toric_swap.group.elements}
+    def test_label_cycles_rendering(self, toric_swap, toric_code):
+        labels = toric_code.labels
+        strs = {format_cycles(e, labels) for e in toric_swap.elements}
         assert strs == {"()", "(e m)"}
