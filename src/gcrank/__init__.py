@@ -8,13 +8,11 @@ from .errors import GcrankError
 from .mtc import ModularData, ValidationReport, load_mtc, parse_mtc, serialize_mtc, validate_mtc
 from .perms import (
     FiniteGroup,
-    compose,
     conjugacy_classes,
     cycle_decomposition,
     fixed_points,
     format_cycles,
     generate_group,
-    identity,
     inverse,
     orbits,
     parse_cycles,

@@ -46,6 +46,8 @@ def _violations_json(report):
 
 def cmd_validate(args) -> int:
     mtc = load_mtc(args.mtc)
+    # read --sym before any output, so that a bad file leaves stdout empty
+    generators = symmetry.load_symmetry(args.sym, mtc=mtc)[1] if args.sym else None
     report = validate_mtc(mtc)
     ok = report.ok
     doc = {
@@ -58,7 +60,6 @@ def cmd_validate(args) -> int:
         else:
             _print_violations(mtc.name, report)
     if args.sym:
-        _, generators = symmetry.load_symmetry(args.sym, mtc=mtc)
         doc["generators"] = {}
         for name, p in generators.items():
             gen_report = symmetry.validate_automorphism(mtc, p)

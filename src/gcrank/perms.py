@@ -4,8 +4,9 @@ A permutation of degree d is the tuple of its images: ``p[i]`` is the image
 of the point i, so ``p`` is a bijection of {0, ..., d-1}.  Points are
 0-indexed internally.  Integer cycle notation is 1-indexed, e.g.
 ``"(1 2 3)(4 5)"``; the empty string denotes the identity.  The same parser
-and formatter handle notation over labels, e.g. ``"(e m)"``.  Composition
-applies the *right* argument first: ``compose(p, q)[i] == p[q[i]]``.
+and formatter handle notation over labels, e.g. ``"(e m)"``.  Products are
+composed as ``itemgetter(*q)(p)``, which applies the *right* argument
+first: its entry i is ``p[q[i]]``.
 """
 
 from __future__ import annotations
@@ -26,19 +27,6 @@ from .errors import (
 )
 
 DEFAULT_GROUP_CAP = 10**6
-
-
-def identity(degree: int) -> tuple[int, ...]:
-    if degree < 1:
-        raise InvalidDegree(f"degree must be >= 1, got {degree}")
-    return tuple(range(degree))
-
-
-def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """The permutation applying q first, then p."""
-    if len(p) != len(q):
-        raise DegreeMismatch(f"degrees {len(p)} and {len(q)} differ")
-    return tuple(map(p.__getitem__, q))
 
 
 def inverse(p: tuple[int, ...]) -> tuple[int, ...]:

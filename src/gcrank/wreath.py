@@ -2,8 +2,7 @@
 
 Everything is driven by cycle types: an element with |a| cycles contributes
 rk(C)^|a|, so totals come from conjugacy-class data and are never computed
-by materializing the n-fold product category.  A materialization helper for
-small n exists to cross-check the shortcut against the general engine.
+by materializing the n-fold product category.
 """
 
 from __future__ import annotations
@@ -18,9 +17,7 @@ from dataclasses import dataclass
 
 from . import perms
 from .errors import InconsistencyError, OutOfRange, ParseError, TooLarge
-from .mtc import ModularData
 from .perms import DEFAULT_GROUP_CAP, FiniteGroup
-from .symmetry import build_symmetry
 
 PARTITION_CAP = 60
 BRUTE_FORCE_CAP = 10**7
@@ -236,44 +233,3 @@ def preset_group(
     spec: str, degree: int, cap: int = DEFAULT_GROUP_CAP
 ) -> FiniteGroup:
     return perms.generate_group(degree, preset_generators(spec, degree), cap=cap)
-
-
-# -- materialized products for cross-checks --------------------------------
-
-def materialize_power(m: ModularData, n: int) -> ModularData:
-    """The n-fold product category (n >= 1), labels "s*t*...": n - 1 steps of
-    P ⊠ C, whose label (s, t) is number s r + t (r = rk C); N, duals and
-    twists combine factor by factor.  Small n only: the label count is r^n."""
-    r = m.rank
-    labels, unit, fusion, dual, twists = m.labels, m.unit, dict(m.fusion), m.dual, m.twists
-    for _ in range(n - 1):
-        labels = tuple(f"{s}*{t}" for s in labels for t in m.labels)
-        unit = unit * r + m.unit
-        fusion = {(x * r + a, y * r + b, z * r + c): k * l
-                  for (x, y, z), k in fusion.items() for (a, b, c), l in m.fusion.items()}
-        dual = tuple(s * r + t for s in dual for t in m.dual)
-        twists = tuple((s + t) % 1 for s in twists for t in m.twists)
-    return ModularData(f"{m.name}^{n}", labels, unit, fusion, dual, twists)
-
-
-def factor_permutation(m: ModularData, n: int, sigma: tuple[int, ...]) -> tuple[int, ...]:
-    """The permutation of product labels moving factor i to slot sigma(i):
-    label (t_0, ..., t_{n-1}) = sum_i t_i r^(n-1-i) goes to sum_i t_i r^(n-1-sigma(i))."""
-    if len(sigma) != n:
-        raise OutOfRange(f"sigma has degree {len(sigma)}, expected {n}")
-    r = m.rank
-    images = [0]
-    for moved_to in sigma:  # factor i, outermost first, as labels are numbered
-        weight = r ** (n - 1 - moved_to)
-        images = [p + t * weight for p in images for t in range(r)]
-    return tuple(images)
-
-
-def symmetric_power_symmetry(m: ModularData, n: int) -> tuple[ModularData, FiniteGroup]:
-    """C^n and S_n permuting its factors as a group on its labels, validated."""
-    power = materialize_power(m, n)
-    gens = preset_generators(f"s{n}", n)
-    lifted = {
-        name: factor_permutation(m, n, p) for name, p in gens.items()
-    }
-    return power, build_symmetry(power, lifted)

@@ -14,7 +14,7 @@ from gcrank import cli, errors, perms, symmetry, wreath
 from gcrank.cli import main
 from gcrank.mtc import serialize_mtc
 
-from conftest import fixture_path
+from conftest import fixture_path, reference_factor_permutation, reference_materialize_power
 
 TORIC = str(gcrank.bundled_data_path("toric_code.json"))
 TORIC_SWAP = str(gcrank.bundled_data_path("toric_code_swap.json"))
@@ -186,10 +186,10 @@ class TestRank:
     def test_groups_above_50_elements_print_classes(self, capsys, tmp_path):
         # Fibonacci^5 under S_5: 120 elements, so one row per conjugacy class
         fib = gcrank.load_mtc(FIB)
-        power = wreath.materialize_power(fib, 5)
+        power = reference_materialize_power(fib, 5)
         (tmp_path / "fib5.json").write_text(serialize_mtc(power))
         generators = {
-            name: [power.labels[i] for i in wreath.factor_permutation(fib, 5, p)]
+            name: [power.labels[i] for i in reference_factor_permutation(fib, 5, p)]
             for name, p in wreath.preset_generators("s5", 5).items()
         }
         sym = tmp_path / "fib5_s5.json"

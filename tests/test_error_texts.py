@@ -17,7 +17,7 @@ import gcrank
 from gcrank import errors, perms, rank
 from gcrank.cli import main
 from gcrank.mtc import ValidationReport, Violation
-from gcrank.perms import generate_group, identity
+from gcrank.perms import generate_group
 
 FIB_PATH = str(gcrank.bundled_data_path("fibonacci.json"))
 FIB = json.loads(Path(FIB_PATH).read_text())
@@ -85,11 +85,14 @@ CLI_CASES = {
         ["rank", "--sym"], {"generators": {}}, 2,
         'error: symmetry file has no "mtc" field and none was supplied\n'),
     # a NUL byte in a symmetry file's path, read as an MTC path is; validate
-    # runs with --json, as its text output prints the MTC's verdict first
-    **{f"nul-in-sym-path-{argv[0]}": (
+    # reads the symmetry file before it prints the MTC's verdict, in text
+    # mode as under --json
+    **{f"nul-in-sym-path-{name}": (
         [*argv, "--sym", "a\x00b"], None, 2,
         "error: cannot read 'a\\x00b': embedded null byte\n")
-       for argv in (["rank"], ["burnside"], ["validate", "--mtc", FIB_PATH, "--json"])},
+       for name, argv in {"rank": ["rank"], "burnside": ["burnside"],
+                          "validate": ["validate", "--mtc", FIB_PATH, "--json"],
+                          "validate-text": ["validate", "--mtc", FIB_PATH]}.items()},
 }
 
 
@@ -107,7 +110,8 @@ def test_cli_error_text(capsys, tmp_path, name):
 
 
 LIBRARY_CASES = {
-    "empty-permutation": (lambda: identity(0), errors.InvalidDegree,
+    # the group on no points, whose one element would be the empty permutation
+    "empty-permutation": (lambda: generate_group(0, {}), errors.InvalidDegree,
                           "degree must be >= 1, got 0"),
     "non-bijective-permutation": (lambda: generate_group(2, {"g": (0, 0)}),
                                   errors.GcrankError, "images (0, 0) are not a bijection"),

@@ -16,7 +16,9 @@ Its unit is "0", and ``validate_z4_bad_duals`` was recorded again when the
 unit-law and duality messages began to write the unit's label where they
 wrote a literal 1.  The ``rank`` and ``burnside`` text cases were recorded
 before the rank report lost its symmetry, class and JSON views and the CLI
-took over rendering ``rank``.  To record the files again after an intended
+took over rendering ``rank``.  The ``validate --sym`` text cases were
+recorded before ``validate`` read the symmetry file ahead of printing the
+MTC's verdict.  To record the files again after an intended
 output change, run ``PYTHONPATH=src python tests/test_golden.py`` from the
 repository root and review the diff; it prints the digests to pin.
 """
@@ -35,6 +37,7 @@ from gcrank.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = Path(__file__).parent / "fixtures"
 ISING = str(gcrank.bundled_data_path("ising.json"))
+TORIC = str(gcrank.bundled_data_path("toric_code.json"))
 TORIC_SWAP = str(gcrank.bundled_data_path("toric_code_swap.json"))
 # Ising^2 with N_{sigma*sigma, sigma*sigma}^{psi*psi} doubled: 36 associativity
 # violations
@@ -87,6 +90,11 @@ CASES = {
         "validate", "--mtc", str(FIXTURES / "z4.json"),
         "--sym", str(FIXTURES / "z4_generators.json"), "--json",
     ],
+    "validate_z4_generators_text": [
+        "validate", "--mtc", str(FIXTURES / "z4.json"),
+        "--sym", str(FIXTURES / "z4_generators.json"),
+    ],
+    "validate_toric_swap_text": ["validate", "--mtc", TORIC, "--sym", TORIC_SWAP],
     # duals form a 4-cycle: not an involution, and the unit is not self-dual
     "validate_z4_bad_duals": [
         "validate", "--mtc", str(FIXTURES / "z4_bad_duals.json"), "--json"

@@ -1,9 +1,9 @@
-"""Every name a gcrank module imports is used in that module.
+"""Every name a gcrank module, test file or tool imports is used in that file.
 
-``__init__.py`` is left out: its imports are the package's exports.  A name
-counts as used when it occurs as an ``ast.Name`` (a bare name such as
-``perms`` in ``perms.compose``), so an import left behind when the code
-using it is deleted fails here.
+``src/gcrank/__init__.py`` is left out: its imports are the package's
+exports.  A name counts as used when it occurs as an ``ast.Name`` (a bare
+name such as ``perms`` in ``perms.orbits``), so an import left behind when
+the code using it is deleted fails here.
 """
 
 import ast
@@ -11,8 +11,11 @@ from pathlib import Path
 
 import pytest
 
-MODULES = sorted(p for p in (Path(__file__).parent.parent / "src" / "gcrank").glob("*.py")
-                 if p.name != "__init__.py")
+ROOT = Path(__file__).parent.parent
+# gcrank's modules by file name, test files and tools by folder and name
+FILES = {p.name: p for p in (ROOT / "src" / "gcrank").glob("*.py") if p.name != "__init__.py"}
+FILES.update((f"{folder}/{p.name}", p) for folder in ("tests", "tools")
+             for p in (ROOT / folder).glob("*.py"))
 
 
 def imported_names(tree):
@@ -25,8 +28,9 @@ def imported_names(tree):
                 yield alias.asname or alias.name
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_every_import_is_used(path):
+@pytest.mark.parametrize("name", sorted(FILES))
+def test_every_import_is_used(name):
+    path = FILES[name]
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(imported_names(tree)) - used) == []

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gcrank
-from gcrank import wreath
 from gcrank.errors import (
     DualityViolation,
     DuplicateLabel,
@@ -30,7 +29,7 @@ from gcrank.mtc import (
     validate_mtc,
 )
 
-from conftest import fixture_path
+from conftest import fixture_path, reference_materialize_power
 
 
 def brute_force_associativity(m):
@@ -168,8 +167,8 @@ ASSOCIATIVITY_RINGS = (
     [_bundled(name) for name in ("fibonacci", "ising", "toric_code")]
     + [load_mtc(fixture_path(name))
        for name in ("non_associative.json", "ising2_doubled.json")]
-    + [wreath.materialize_power(_bundled("ising"), n) for n in (2, 3)]
-    + [wreath.materialize_power(_bundled("fibonacci"), n) for n in (2, 3, 4)]
+    + [reference_materialize_power(_bundled("ising"), n) for n in (2, 3)]
+    + [reference_materialize_power(_bundled("fibonacci"), n) for n in (2, 3, 4)]
     + [su2_level(k) for k in range(1, 13)]
     + [constant_ring(4, 10**6), random_ring(5, 10**6, seed=3)]
     # rank 1: one index per product row, so itemgetter returns a bare item

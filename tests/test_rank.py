@@ -2,9 +2,11 @@ import itertools
 import random
 
 from gcrank import wreath
-from gcrank.perms import compose, conjugacy_classes, generate_group, inverse
+from gcrank.perms import conjugacy_classes, generate_group, inverse
 from gcrank.rank import rank_report
 from gcrank.symmetry import build_symmetry, parse_generator
+
+from conftest import compose, symmetric_power_symmetry
 
 
 def union_find_orbit_count(group):
@@ -60,7 +62,7 @@ class TestGradedRank:
         assert rank_report(s).per_element == (3,)
 
     def test_conjugation_invariance(self, ising):
-        power, s = wreath.symmetric_power_symmetry(ising, 2)
+        power, s = symmetric_power_symmetry(ising, 2)
         ranks = graded_ranks(s)
         for h, k in itertools.product(s.elements, repeat=2):
             conj = compose(compose(k, h), inverse(k))
@@ -88,7 +90,7 @@ class TestRankReport:
         assert len(report.orbits) == 2
 
     def test_ising_squared_factor_swap(self, ising):
-        power, s = wreath.symmetric_power_symmetry(ising, 2)
+        power, s = symmetric_power_symmetry(ising, 2)
         report = rank_report(s)
         assert power.rank == 9
         assert sorted(report.per_element) == [3, 9]
@@ -101,13 +103,13 @@ class TestRankReport:
         assert report.per_element[0] == toric_code.rank
 
     def test_total_is_sum_of_elements(self, ising):
-        _, s = wreath.symmetric_power_symmetry(ising, 3)
+        _, s = symmetric_power_symmetry(ising, 3)
         report = rank_report(s)
         assert report.total_rank == sum(report.per_element)
         assert report.total_rank == report.burnside_total
 
     def test_classes_have_equal_rank(self, ising):
-        _, s = wreath.symmetric_power_symmetry(ising, 3)
+        _, s = symmetric_power_symmetry(ising, 3)
         report = rank_report(s)
         for cls in conjugacy_classes(s).classes:
             ranks = {report.per_element[i] for i in cls}
@@ -128,13 +130,13 @@ class TestModularInvariant:
 
     def test_permutation_matrix_shape(self, ising):
         # the closure wraps its elements unchecked: each must be a bijection
-        power, s = wreath.symmetric_power_symmetry(ising, 2)
+        power, s = symmetric_power_symmetry(ising, 2)
         for g in s.elements:
             assert sorted(g) == list(range(power.rank))
 
     def test_transpose_is_inverse_element(self, ising):
         # Z_g transposed is Z_{g^-1}, so g and g^-1 have the same graded rank
-        _, s = wreath.symmetric_power_symmetry(ising, 3)
+        _, s = symmetric_power_symmetry(ising, 3)
         ranks = graded_ranks(s)
         for g in s.elements:
             assert ranks[inverse(g)] == ranks[g] == trace(g)
@@ -157,6 +159,6 @@ class TestModularInvariant:
             checked += 1
 
     def test_trace_sum_equals_total_rank(self, toric_swap, ising):
-        for s in (toric_swap, wreath.symmetric_power_symmetry(ising, 2)[1]):
+        for s in (toric_swap, symmetric_power_symmetry(ising, 2)[1]):
             total = sum(trace(g) for g in s.elements)
             assert total == rank_report(s).total_rank

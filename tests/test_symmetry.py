@@ -12,7 +12,7 @@ import gcrank
 from gcrank import cli, perms, symmetry, wreath
 from gcrank.errors import DegreeMismatch, NotAnAutomorphism, ParseError
 from gcrank.mtc import ModularData, Violation
-from gcrank.perms import compose, format_cycles, identity
+from gcrank.perms import format_cycles
 from gcrank.symmetry import (
     build_symmetry,
     load_symmetry,
@@ -20,7 +20,14 @@ from gcrank.symmetry import (
     validate_automorphism,
 )
 
-from conftest import fixture_path
+from conftest import (
+    compose,
+    fixture_path,
+    identity,
+    reference_factor_permutation,
+    reference_materialize_power,
+    symmetric_power_symmetry,
+)
 
 
 def reference_automorphism(m, g):
@@ -64,9 +71,9 @@ def _power_automorphisms(name, n, first_factor=None):
     """C^n and the group generated by the factor permutations and, if given,
     an automorphism of C (cycle notation) acting on the first factor."""
     base = gcrank.load_mtc(gcrank.bundled_data_path(f"{name}.json"))
-    power = wreath.materialize_power(base, n)
+    power = reference_materialize_power(base, n)
     gens = {
-        k: wreath.factor_permutation(base, n, p)
+        k: reference_factor_permutation(base, n, p)
         for k, p in wreath.preset_generators(f"s{n}", n).items()
     }
     if first_factor:
@@ -318,7 +325,7 @@ class TestBuildSymmetry:
             return original(m, p)
 
         monkeypatch.setattr(symmetry, "validate_automorphism", spy)
-        power, s = wreath.symmetric_power_symmetry(ising, 4)
+        power, s = symmetric_power_symmetry(ising, 4)
         generators = wreath.preset_generators("s4", 4)
         assert s.order == 24
         assert len(calls) == len(generators)
@@ -363,9 +370,9 @@ class TestBuildSymmetry:
     @pytest.mark.parametrize("n", [2, 3])
     def test_factor_permutations_all_pass_on_product(self, ising, fibonacci, n):
         base = fibonacci if n == 3 else ising
-        power = wreath.materialize_power(base, n)
+        power = reference_materialize_power(base, n)
         for im in itertools.permutations(range(n)):
-            lifted = wreath.factor_permutation(base, n, tuple(im))
+            lifted = reference_factor_permutation(base, n, tuple(im))
             report = validate_automorphism(power, lifted)
             assert report.ok, report.violations
 

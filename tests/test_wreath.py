@@ -2,7 +2,6 @@ import itertools
 import json
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from gcrank import perms, rank, wreath
 from gcrank.cli import main
 from gcrank.errors import OutOfRange, TooLarge
-from gcrank.mtc import ModularData
 from gcrank.perms import parse_cycles
 from gcrank.wreath import (
     brute_force_wreath_rank,
@@ -25,7 +23,14 @@ from gcrank.wreath import (
     rank_wreath_symmetric,
 )
 
-from conftest import a_of
+from conftest import (
+    a_of,
+    compose,
+    identity,
+    reference_factor_permutation,
+    reference_materialize_power,
+    symmetric_power_symmetry,
+)
 
 
 def rising_factorial(n):
@@ -172,7 +177,7 @@ class TestWalk:
 
 class TestCycleTypeOf:
     def test_identity(self):
-        a = cycle_type_of(perms.identity(5))
+        a = cycle_type_of(identity(5))
         assert a == (5, 0, 0, 0, 0)
         assert sum(a) == 5
 
@@ -419,39 +424,6 @@ class TestPresets:
             preset_generators("s9", 4)
 
 
-def reference_materialize_power(m, n):
-    """``materialize_power`` by its former walk over n-tuples of fusion
-    entries, with a tuple -> label index dict."""
-    tuples = list(itertools.product(range(m.rank), repeat=n))
-    index = {t: i for i, t in enumerate(tuples)}
-    labels = tuple("*".join(m.labels[i] for i in t) for t in tuples)
-    fusion = {}
-    for combo in itertools.product(m.fusion.items(), repeat=n):
-        xs = tuple(triple[0] for triple, _ in combo)
-        ys = tuple(triple[1] for triple, _ in combo)
-        zs = tuple(triple[2] for triple, _ in combo)
-        mult = math.prod(v for _, v in combo)
-        key = (index[xs], index[ys], index[zs])
-        fusion[key] = fusion.get(key, 0) + mult
-    unit = index[(m.unit,) * n]
-    dual = tuple(index[tuple(m.dual[i] for i in t)] for t in tuples)
-    twists = tuple(sum((m.twists[i] for i in t), Fraction(0)) % 1 for t in tuples)
-    return ModularData(f"{m.name}^{n}", labels, unit, fusion, dual, twists)
-
-
-def reference_factor_permutation(m, n, sigma):
-    """``factor_permutation`` by moving each label tuple and looking it up."""
-    tuples = list(itertools.product(range(m.rank), repeat=n))
-    index = {t: i for i, t in enumerate(tuples)}
-    images = []
-    for t in tuples:
-        moved = [0] * n
-        for i, val in enumerate(t):
-            moved[sigma[i]] = val
-        images.append(index[tuple(moved)])
-    return tuple(images)
-
-
 POWER_CASES = ([("ising", n) for n in range(1, 5)] + [("fibonacci", n) for n in range(1, 7)]
                + [("toric_code", n) for n in range(1, 4)])
 
@@ -459,38 +431,55 @@ POWER_CASES = ([("ising", n) for n in range(1, 5)] + [("fibonacci", n) for n in 
 class TestMaterializedPower:
     @pytest.mark.parametrize("base, n", POWER_CASES)
     def test_power_equals_reference(self, request, base, n):
+        """The reference C^n, read back factor by factor from its labels:
+        every field and fusion entry combines the factors' as stated."""
         m = request.getfixturevalue(base)
-        power, ref = wreath.materialize_power(m, n), reference_materialize_power(m, n)
-        for field in ("name", "labels", "unit", "dual", "twists"):
-            assert getattr(power, field) == getattr(ref, field), field
-        assert list(power.fusion.items()) == list(ref.fusion.items())
+        power = reference_materialize_power(m, n)
+        factors = [tuple(map(m.label_index, label.split("*"))) for label in power.labels]
+        assert power.name == f"{m.name}^{n}"
+        assert factors == list(itertools.product(range(m.rank), repeat=n))
+        assert factors[power.unit] == (m.unit,) * n
+        for t, dual, twist in zip(factors, power.dual, power.twists, strict=True):
+            assert factors[dual] == tuple(m.dual[i] for i in t)
+            assert twist == sum(m.twists[i] for i in t) % 1
+        # each entry is a product of nonzero factor entries, and there are
+        # as many entries as n-tuples of those
+        assert len(power.fusion) == len(m.fusion) ** n
+        for (x, y, z), k in power.fusion.items():
+            assert k == math.prod(m.fusion[triple] for triple in
+                                  zip(factors[x], factors[y], factors[z]))
 
     def test_first_power_copies_fusion(self, ising):
-        power = wreath.materialize_power(ising, 1)
+        power = reference_materialize_power(ising, 1)
         assert power.fusion == ising.fusion and power.fusion is not ising.fusion
+        for field in ("labels", "unit", "dual", "twists"):
+            assert getattr(power, field) == getattr(ising, field), field
 
     @pytest.mark.parametrize("base, n", [(b, n) for b, n in POWER_CASES if n <= 4])
     def test_factor_permutation_equals_reference(self, request, base, n):
+        """The reference lift of sigma, read from the labels of C^n: the
+        image of a label carries its factor i in slot sigma(i)."""
         m = request.getfixturevalue(base)
+        parts = [label.split("*") for label in reference_materialize_power(m, n).labels]
         for sigma in itertools.permutations(range(n)):
-            assert (wreath.factor_permutation(m, n, sigma)
-                    == reference_factor_permutation(m, n, sigma))
+            for x, image in enumerate(reference_factor_permutation(m, n, sigma)):
+                assert [parts[image][sigma[i]] for i in range(n)] == parts[x]
 
     def test_ising_squared_shape(self, ising):
-        power = wreath.materialize_power(ising, 2)
+        power = reference_materialize_power(ising, 2)
         assert power.rank == 9
         from gcrank.mtc import validate_mtc
         assert validate_mtc(power).ok
 
     def test_fibonacci_cubed_valid(self, fibonacci):
-        power = wreath.materialize_power(fibonacci, 3)
+        power = reference_materialize_power(fibonacci, 3)
         assert power.rank == 8
         from gcrank.mtc import validate_mtc
         assert validate_mtc(power).ok
 
     def test_power_symmetry_matches_class_formula(self, ising):
         for n in (2, 3):
-            _, s = wreath.symmetric_power_symmetry(ising, n)
+            _, s = symmetric_power_symmetry(ising, n)
             report = rank.rank_report(s)
             total, _ = rank_wreath_symmetric(3, n)
             assert report.total_rank == total
@@ -498,9 +487,9 @@ class TestMaterializedPower:
     def test_factor_permutation_is_homomorphism(self, ising):
         n = 3
         for p, q in itertools.product(itertools.permutations(range(n)), repeat=2):
-            lifted = wreath.factor_permutation(ising, n, perms.compose(p, q))
-            composed = perms.compose(
-                wreath.factor_permutation(ising, n, p),
-                wreath.factor_permutation(ising, n, q),
+            lifted = reference_factor_permutation(ising, n, compose(p, q))
+            composed = compose(
+                reference_factor_permutation(ising, n, p),
+                reference_factor_permutation(ising, n, q),
             )
             assert lifted == composed

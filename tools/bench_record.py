@@ -7,11 +7,14 @@ For every seed, workload and trace setting (0 and 1), ``perfbench/run.py``
 runs once in each checkout, from that checkout's root and with this
 interpreter.  Runs go one at a time, and the checkout that goes first
 alternates from one seed to the next, so that each pair of runs meets the
-host in the same state.  Only the last stdout line of a run, its result
-object, is kept.  ``merge`` lays those lines out side by side: per workload
-and trace setting, each metric's values per checkout in seed order, the
-median of each, and each run's ``correct`` and ``failed`` fields.  Two
-recorded files then diff row by row.
+host in the same state.  Each seed is one such alternating pair per
+workload and trace setting, so a claimed gain needs at least ten seeds:
+with fewer, "better on nine of ten pairs" cannot be read off.  Only the
+last stdout line of a run, its result object, is kept.  ``merge`` lays
+those lines out side by side: per workload and trace setting, each
+metric's values per checkout in seed order, the median of each, and each
+run's ``correct`` and ``failed`` fields.  Two recorded files then diff row
+by row.
 
 Every run starts from source: each ``__pycache__`` under the checkout's
 ``src/`` is deleted first, and the run gets ``PYTHONDONTWRITEBYTECODE=1``,
@@ -76,7 +79,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--checkout", action="append", required=True, metavar="LABEL=DIR",
                         help="a source checkout to run, repeated for each one")
-    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", required=True,
+                        help="one alternating pair of runs per seed; "
+                             "at least ten to back a claimed gain")
     parser.add_argument("--seconds", type=int, default=40)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
