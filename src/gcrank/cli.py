@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, sym=False):
         p.add_argument("--mtc", help="path to an MTC data file")
         if sym:
-            p.add_argument("--sym", help="path to a symmetry file")
+            p.add_argument("--sym", required=True, help="path to a symmetry file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--cap", type=positive_int, default=DEFAULT_GROUP_CAP,
                        help="group-size cap, at least 1 (default %(default)s)")

@@ -89,12 +89,6 @@ class ModularData:
         return [list(map(vector_id.__getitem__, row)) for row in packed], vector_id, terms, width
 
     @cached_property
-    def entry_positions(self) -> dict[tuple[int, int, int], int]:
-        """The position of each fusion entry in ``fusion``'s order; ``fusion``
-        must not change after."""
-        return {key: i for i, key in enumerate(self.fusion)}
-
-    @cached_property
     def _positions(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self.labels)}
 

@@ -67,29 +67,21 @@ def validate_automorphism(m: ModularData, g: tuple[int, ...]) -> ValidationRepor
     flagged = {(x, y) for x, row, g_row in zip(rng, product_id, map(product_id.__getitem__, g))
                for y, v, gy in zip(rng, row, g) if image[v] != g_row[gy]}
     if flagged:
-        # N must agree on the support in both directions; triples with N = 0
-        # on both sides, and triples of pairs that agree, need no check.  The
-        # order is that of a walk over every fusion entry (x, y, z) in file
-        # order, taking (x, y, z) and then its preimage (g^-1 x, g^-1 y, g^-1 z),
-        # each triple once: a flagged (a, b) meets (a, b, c) at entry (a, b, c)
-        # and (a, b, g^-1 w) at entry (g a, g b, w).  Kept over decoding packed
-        # slots: that is mixed in speed and reorders output
+        # walk the fusion entries in file order: each entry, then its preimage
+        # under g, each triple once, and only of flagged pairs, since for any
+        # other (a, b) sigma_g(a⊗b) = (g a)⊗(g b), so every N of it agrees
         ginv = perms.inverse(g)
-        position = m.entry_positions
-        candidates = []
-        for a, b in flagged:
-            candidates += [(position[a, b, c], 0, (a, b, c))
-                           for c in terms[product_id[a][b]][0]]
-            ga, gb = g[a], g[b]
-            candidates += [(position[ga, gb, w], 1, (a, b, ginv[w]))
-                           for w in terms[product_id[ga][gb]][0]]
-        candidates.sort()
+        walked = flagged | {(g[a], g[b]) for a, b in flagged}
         seen: set[tuple[int, int, int]] = set()
-        for _, _, (a, b, c) in candidates:
-            if (a, b, c) in seen:
+        for x, y, z in m.fusion:
+            if (x, y) not in walked:
                 continue
-            seen.add((a, b, c))
-            if m.n(g[a], g[b], g[c]) != m.n(a, b, c):
+            for a, b, c in ((x, y, z), (ginv[x], ginv[y], ginv[z])):
+                if (a, b) not in flagged or (a, b, c) in seen:
+                    continue
+                seen.add((a, b, c))
+                if m.n(g[a], g[b], g[c]) == m.n(a, b, c):
+                    continue
                 violations.append(Violation(
                     "fusion", (a, b, c),
                     f"N_{{{lab[a]},{lab[b]}}}^{lab[c]} = {m.n(a, b, c)} but "

@@ -414,6 +414,17 @@ def test_cap_below_one_is_usage_error(capsys, argv, cap):
     assert "--cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("subcommand", ["rank", "burnside"])
+def test_missing_sym_is_usage_error(capsys, subcommand, json_flag):
+    with pytest.raises(SystemExit) as exc_info:
+        main([subcommand] + json_flag)
+    assert exc_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert "--sym" in err
+    assert out == ""
+
+
 # The documented exit code of every error class: 2 for usage and parse
 # errors, 1 for domain failures.
 EXIT_CODES = {

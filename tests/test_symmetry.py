@@ -121,6 +121,13 @@ def _unit_moved(m, automorphisms):
 FALLBACK_CASES = {
     "fibonacci^3 unit moved": _unit_moved(*_power_automorphisms("fibonacci", 3)),
     "ising^3 unit moved": _unit_moved(*AUTOMORPHISM_CASES[0]),
+}
+# the same generators on files that list their fusion entries in reverse:
+# violations follow the file's order, not the labels'
+FALLBACK_CASES |= {
+    f"{name}, fusion reversed":
+        (dataclasses.replace(m, fusion=dict(reversed(m.fusion.items()))), p)
+    for name, (m, p) in FALLBACK_CASES.items()
 } | {
     f"ising2_doubled {name}": (m, p)
     for m, generators in [load_symmetry(fixture_path("ising2_generators.json"))]
@@ -265,8 +272,8 @@ class TestValidateAutomorphism:
 
     @pytest.mark.parametrize("case", FALLBACK_CASES)
     def test_flagged_pair_walk_equals_full_entry_walk(self, case):
-        # the fallback walks only the entries of flagged pairs; the reference
-        # walks every fusion entry and its preimage in file order
+        # the fallback walks every fusion entry in file order but checks
+        # only the triples of flagged pairs; the reference checks them all
         m, p = FALLBACK_CASES[case]
         violations = list(validate_automorphism(m, p).violations)
         assert violations == reference_automorphism(m, p)
