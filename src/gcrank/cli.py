@@ -152,21 +152,22 @@ def cmd_burnside(args) -> int:
     return 0
 
 
-def _write_wreath_json(total: int, rows, rk: int, n: int, spec: str, order: int):
+def _write_wreath_json(total: int, rows, rk: int, n: int, spec: str, order: int, names):
     """Write, one row at a time, the bytes of ``json.dumps(doc, indent=2,
-    ensure_ascii=False)`` for the wreath document.  ``rows`` yields (entries,
-    representative, class size, cycle count, contribution) per class, entries
-    being the cycle type as comma text such as "2,0,1,0"; there is always a
-    row (the identity), and n >= 1, so no entries text is empty.  A
-    representative is digits, "^", "(", ")" and spaces: nothing to escape."""
+    ensure_ascii=False)`` for the wreath document.  ``rows`` are the rows of
+    ``wreath.rank_wreath_*`` as returned, entries being the body of the
+    ``cycle_type`` array; an S_n row (representative None) shows its text
+    "1^2 3^1" instead, others their representative over ``names``.  n >= 1,
+    so no entries text is empty.  Nothing in a representative needs escaping."""
     write = sys.stdout.write
     write(f'{{\n  "rk": "{rk}",\n  "n": {n},\n  "group": {encode_basestring(spec)},'
           f'\n  "group_order": {order},\n  "total_rank": "{total}",\n  "per_class": [')
-    comma = ",\n        "
     sep = "\n"
-    for entries, rep, size, cycles, contribution in rows:
-        write(f'{sep}    {{\n      "cycle_type": [\n        {entries.replace(",", comma)}'
-              f'\n      ],\n      "representative": "{rep}",'
+    for entries, text, rep, size, cycles, contribution in rows:
+        if rep is not None:
+            text = perms.format_cycles(rep, names)
+        write(f'{sep}    {{\n      "cycle_type": [\n        {entries}'
+              f'\n      ],\n      "representative": "{text}",'
               f'\n      "class_size": "{size}",\n      "num_cycles": {cycles},'
               f'\n      "contribution": "{contribution}"\n    }}')
         sep = ",\n"
@@ -206,6 +207,7 @@ def cmd_wreath(args) -> int:
     elif kind == "s":
         total, rows = wreath.rank_wreath_symmetric(rk, n)
         order = math.factorial(n)
+        names = None  # no S_n row has a representative
     else:
         group = wreath.preset_group(args.group, n, cap=args.cap)
         total, rows = wreath.rank_wreath_subgroup(rk, group)
@@ -217,10 +219,8 @@ def cmd_wreath(args) -> int:
                          "closed_form": True, "total_rank": str(total)})
         elif args.closed_form:
             print(f"rank of C wr Z_{n} at rk(C) = {rk}: {total}")
-        elif args.json:  # the cycle type's text stands in for an S_n representative
-            rows = ((entries, text if rep is None else perms.format_cycles(rep, names), size, c, x)
-                    for entries, text, rep, size, c, x in rows)
-            _write_wreath_json(total, rows, rk, n, spec, order)
+        elif args.json:
+            _write_wreath_json(total, rows, rk, n, spec, order, names)
         else:
             rows = [(text, "-" if rep is None else perms.format_cycles(rep, names),
                      str(size), str(c), str(x)) for _, text, rep, size, c, x in rows]

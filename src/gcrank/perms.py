@@ -74,7 +74,8 @@ def parse_cycles(text: str, degree: int, point=None) -> tuple[int, ...]:
     for ``"(e m)"``, and raises ParseError for a token it does not know.
     """
     stripped = text.strip()
-    if stripped and not re.fullmatch(r"(\s*\([^()]*\)\s*)+", stripped):
+    # one way to split each whitespace run, so a malformed text fails in linear time
+    if stripped and not re.fullmatch(r"\([^()]*\)(?:\s*\([^()]*\))*", stripped):
         raise ParseError(f"malformed cycle notation: {text!r}")
     if point is None:
         def point(tok: str) -> int:

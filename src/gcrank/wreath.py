@@ -12,7 +12,6 @@ import itertools
 import math
 import operator
 import re
-from collections import Counter
 from dataclasses import dataclass
 
 from . import perms
@@ -21,6 +20,9 @@ from .perms import DEFAULT_GROUP_CAP, FiniteGroup
 
 PARTITION_CAP = 60
 BRUTE_FORCE_CAP = 10**7
+# between two entries of a cycle type: the array separator of
+# json.dumps(indent=2) at the depth of "cycle_type" in ``wreath --json``
+SEP = ",\n        "
 
 
 def _check_degree(n: int) -> None:
@@ -32,7 +34,8 @@ def partitions(n: int) -> list[tuple[int, int, str, str]]:
     """(class size, cycle count, text, entries) for all p(n) cycle types
     a = (a_1, ..., a_n), a_j the number of j-cycles, in reverse-lexicographic
     order on a: a_1 from its largest value down, then a_2, and so on.  text
-    is "1^2 3^1" (the a_j > 0 only) and entries "2,0,1,0" (every a_j).
+    is "1^2 3^1" (the a_j > 0 only) and entries every a_j joined by SEP,
+    the body of the ``cycle_type`` array that ``wreath --json`` prints.
 
     The walk goes over distinct part sizes (Knuth, TAOCP 4A 7.2.1.4): after
     parts up to j, the next size k runs upward from j + 1 with a_k counting
@@ -43,8 +46,8 @@ def partitions(n: int) -> list[tuple[int, int, str, str]]:
     part, from tables built once.  Class sizes n! / denominator are exact."""
     _check_degree(n)
     fact_n = math.factorial(n)
-    zeros = ["0," * g for g in range(n)]  # a_j = 0 before a part
-    tails = [",0" * g for g in range(n)]  # a_j = 0 after the largest part
+    zeros = [f"0{SEP}" * g for g in range(n)]  # a_j = 0 before a part
+    tails = [f"{SEP}0" * g for g in range(n)]  # a_j = 0 after the largest part
     # parts[k][m]: the denominator factor k^m m!, the text "k^m" and str(m)
     parts = [None] + [[(k**m * math.factorial(m), f"{k}^{m}", str(m))
                        for m in range(n // k + 1)] for k in range(1, n + 1)]
@@ -65,7 +68,7 @@ def partitions(n: int) -> list[tuple[int, int, str, str]]:
             for ak in range(top - 1 - (not left), 0, -1):  # leaves more than k
                 factor, part, digits = table[ak]
                 walk(k, rest - k * ak, denom * factor, cycles + ak, f"{text}{part} ",
-                     f"{before}{digits},")
+                     f"{before}{digits}{SEP}")
         append((fact_n // (denom * rest), cycles + 1, f"{text}{rest}^1",
                 f"{entries}{zeros[rest - j - 1]}1{tails[n - rest]}"))
 
@@ -124,11 +127,14 @@ def rank_polynomial_symmetric(n: int) -> RankPolynomial:
 
 def rank_wreath_cyclic(rk: int, n: int) -> int:
     """Necklace closed form for C wr Z_n: sum_{k<n} rk^gcd(k, n) (Polya
-    1937), each gcd counted once; rk^n + (n-1) rk for prime n."""
+    1937) = sum_{d|n} phi(n/d) rk^d, as phi(n/d) of the k have gcd d;
+    rk^n + (n-1) rk for prime n."""
     if n < 1:
         raise OutOfRange(f"degree must be >= 1, got {n}")
-    gcds = Counter(math.gcd(k, n) for k in range(n))
-    return sum(count * rk**d for d, count in gcds.items())
+    phi = {}  # divisor e of n -> phi(e), from sum_{d|e} phi(d) = e
+    for e in sorted({q for d in range(1, math.isqrt(n) + 1) if not n % d for q in (d, n // d)}):
+        phi[e] = e - sum(f for d, f in phi.items() if not e % d)
+    return sum(f * rk ** (n // e) for e, f in phi.items())
 
 
 def rank_wreath_subgroup(rk: int, group: FiniteGroup) -> tuple[int, list[tuple]]:
@@ -144,8 +150,8 @@ def rank_wreath_subgroup(rk: int, group: FiniteGroup) -> tuple[int, list[tuple]]
         a = cycle_type_of(rep)
         c = sum(a)
         text = " ".join(f"{j}^{a[j - 1]}" for j in itertools.compress(itertools.count(1), a))
-        rows.append((",".join(map(str, a)), text, rep, len(cls), c, len(cls) * power(c)))
-    return sum(row[5] for row in rows), rows
+        rows.append((SEP.join(map(str, a)), text, rep, len(cls), c, len(cls) * power(c)))
+    return sum(map(operator.itemgetter(5), rows)), rows
 
 
 def rank_wreath_symmetric(rk: int, n: int) -> tuple[int, list[tuple]]:
@@ -154,12 +160,12 @@ def rank_wreath_symmetric(rk: int, n: int) -> tuple[int, list[tuple]]:
     ``partitions(n)``; S_n is never materialized.  InconsistencyError if the
     class sizes do not sum to n!, raised before any row is built."""
     classes = partitions(n)
-    order = sum(size for size, *_ in classes)
+    order = sum(map(operator.itemgetter(0), classes))
     if order != math.factorial(n):
         raise InconsistencyError(f"class sizes of S_{n} sum to {order}, not {n}!")
     powers = list(itertools.accumulate(itertools.repeat(rk, n), operator.mul, initial=1))
     rows = [(entries, text, None, size, c, size * powers[c]) for size, c, text, entries in classes]
-    return sum(row[5] for row in rows), rows
+    return sum(map(operator.itemgetter(5), rows)), rows
 
 
 def brute_force_wreath_rank(rk: int, group: FiniteGroup) -> int:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import gcrank
-from gcrank import symmetry
+from gcrank import symmetry, wreath
 from gcrank.mtc import ModularData
 from gcrank.wreath import preset_generators
 
@@ -71,8 +71,9 @@ def symmetric_power_symmetry(m, n):
 
 
 def a_of(entries: str) -> tuple[int, ...]:
-    """The cycle type a back from a row's entries text "2,0,1,0"."""
-    return tuple(map(int, entries.split(",")))
+    """The cycle type a back from a row's entries text, its a_j joined by
+    ``wreath.SEP``; a stray "," or other separator does not parse."""
+    return tuple(map(int, entries.split(wreath.SEP)))
 
 
 @pytest.fixture(scope="session")

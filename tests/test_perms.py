@@ -1,4 +1,9 @@
 import itertools
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -186,6 +191,38 @@ class TestCycleNotation:
     def test_out_of_range_point(self):
         with pytest.raises(ParseError):
             parse_cycles("(1 5)", 3)
+
+    def test_malformed_fails_fast(self):
+        # 40 groups with two spaces between them and a stray token: a check
+        # that can split each space run several ways backtracks for hours,
+        # so the text is parsed in a child that is killed after 10 s
+        src = Path(gcrank.__file__).resolve().parents[1]
+        code = ("import sys\n"
+                "from gcrank.errors import ParseError\n"
+                "from gcrank.perms import parse_cycles\n"
+                "try:\n"
+                "    parse_cycles('()  ' * 40 + 'x', 3)\n"
+                "except ParseError as exc:\n"
+                "    sys.exit(0 if 'malformed cycle notation' in str(exc) else 1)\n"
+                "sys.exit(1)\n")
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=10,
+                       env=dict(os.environ, PYTHONPATH=str(src)))
+
+    @settings(max_examples=2000)
+    @given(st.text("() \t1a", max_size=12))
+    def test_malformed_exactly_as_old_check(self, text):
+        # the backtracking check the parser had before, as the reference; a
+        # point map that gives every token a new point leaves "malformed"
+        # the only error
+        stripped = text.strip()
+        malformed = bool(stripped) and not re.fullmatch(r"(\s*\([^()]*\)\s*)+", stripped)
+        fresh = itertools.count()
+        try:
+            parse_cycles(text, 12, lambda tok: next(fresh))
+        except ParseError as exc:
+            assert malformed and str(exc).startswith("malformed cycle notation")
+        else:
+            assert not malformed
 
     @given(any_permutation())
     def test_format_parse_round_trip(self, p):

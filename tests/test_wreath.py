@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -164,14 +165,29 @@ class TestWalk:
                 if aj:
                     parts.append(f"{j}^{aj}")
             assert text == " ".join(parts)
-            assert entries == ",".join(str(aj) for aj in a)
+            assert entries == ",\n        ".join(str(aj) for aj in a)
             assert num_cycles == sum(a)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_both_producers_write_one_entries_format(self, n):
+        # S_n from cycle-notation generators goes through the explicit-group
+        # rows; as a multiset they equal the walk's rows, entries text included
+        spec = "(1 2),(" + " ".join(str(i) for i in range(1, n + 1)) + ")"
+        explicit = rank_wreath_subgroup(3, preset_group(spec, n))[1]
+        walked = rank_wreath_symmetric(3, n)[1]
+
+        def key(row):
+            entries, text, _, size, _, contribution = row
+            return entries, text, size, contribution
+
+        assert len(explicit) == len(walked) == partition_count(n)
+        assert Counter(map(key, explicit)) == Counter(map(key, walked))
 
     def test_rows_are_plain_tuples(self):
         assert partitions(3) == [
-            (1, 3, "1^3", "3,0,0"),
-            (3, 2, "1^1 2^1", "1,1,0"),
-            (2, 1, "3^1", "0,0,1"),
+            (1, 3, "1^3", "3,\n        0,\n        0"),
+            (3, 2, "1^1 2^1", "1,\n        1,\n        0"),
+            (2, 1, "3^1", "0,\n        0,\n        1"),
         ]
 
 
@@ -308,6 +324,12 @@ class TestCyclicNecklace:
             assert rank_wreath_cyclic(r, n) == total, r
             if r**n <= 10**5:
                 assert total == brute_force_wreath_rank(r, group), r
+
+    def test_divisor_sum_equals_gcd_sum(self):
+        # the divisor form against sum_{k<n} rk^gcd(k, n) written out
+        for n in range(1, 301):
+            for r in (0, 1, 2, 3, 10):
+                assert rank_wreath_cyclic(r, n) == sum(r ** math.gcd(k, n) for k in range(n))
 
     @pytest.mark.parametrize("n", [0, -1, -7])
     def test_degree_below_one(self, n):
