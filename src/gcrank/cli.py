@@ -155,18 +155,20 @@ def cmd_burnside(args) -> int:
 def _write_wreath_json(total: int, rows, rk: int, n: int, spec: str, order: int, names):
     """Write, one row at a time, the bytes of ``json.dumps(doc, indent=2,
     ensure_ascii=False)`` for the wreath document.  ``rows`` are the rows of
-    ``wreath.rank_wreath_*`` as returned, entries being the body of the
-    ``cycle_type`` array; an S_n row (representative None) shows its text
+    ``wreath.rank_wreath_*`` as returned with ``sep=wreath.SEP``, entries
+    being the body of the ``cycle_type`` array, which opens on the same line
+    break and indent as SEP; an S_n row (representative None) shows its text
     "1^2 3^1" instead, others their representative over ``names``.  n >= 1,
     so no entries text is empty.  Nothing in a representative needs escaping."""
     write = sys.stdout.write
+    indent = wreath.SEP.lstrip(",")
     write(f'{{\n  "rk": "{rk}",\n  "n": {n},\n  "group": {encode_basestring(spec)},'
           f'\n  "group_order": {order},\n  "total_rank": "{total}",\n  "per_class": [')
     sep = "\n"
     for entries, text, rep, size, cycles, contribution in rows:
         if rep is not None:
             text = perms.format_cycles(rep, names)
-        write(f'{sep}    {{\n      "cycle_type": [\n        {entries}'
+        write(f'{sep}    {{\n      "cycle_type": [{indent}{entries}'
               f'\n      ],\n      "representative": "{text}",'
               f'\n      "class_size": "{size}",\n      "num_cycles": {cycles},'
               f'\n      "contribution": "{contribution}"\n    }}')
@@ -200,17 +202,18 @@ def cmd_wreath(args) -> int:
     spec = args.group.strip().lower()
     preset = wreath.parse_preset(spec, n)
     kind = preset[0] if preset and preset[1] == n else None  # a preset on all n points
+    sep = wreath.SEP if args.json else ","  # the table never shows entries: keep them short
     if args.closed_form:
         if kind != "z":
             raise ParseError("--closed-form applies only to --group z<n>")
         total = wreath.rank_wreath_cyclic(rk, n)
     elif kind == "s":
-        total, rows = wreath.rank_wreath_symmetric(rk, n)
+        total, rows = wreath.rank_wreath_symmetric(rk, n, sep)
         order = math.factorial(n)
         names = None  # no S_n row has a representative
     else:
         group = wreath.preset_group(args.group, n, cap=args.cap)
-        total, rows = wreath.rank_wreath_subgroup(rk, group)
+        total, rows = wreath.rank_wreath_subgroup(rk, group, sep)
         order = group.order
         names = perms.point_names(n)  # once per run, not per class
     with _exact_ints():

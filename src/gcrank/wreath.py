@@ -12,6 +12,7 @@ import itertools
 import math
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from . import perms
@@ -30,12 +31,14 @@ def _check_degree(n: int) -> None:
         raise OutOfRange(f"n must be in 1..{PARTITION_CAP}, got {n}")
 
 
-def partitions(n: int) -> list[tuple[int, int, str, str]]:
+def partitions(n: int, sep: str = SEP) -> list[tuple[int, int, str, str]]:
     """(class size, cycle count, text, entries) for all p(n) cycle types
     a = (a_1, ..., a_n), a_j the number of j-cycles, in reverse-lexicographic
     order on a: a_1 from its largest value down, then a_2, and so on.  text
-    is "1^2 3^1" (the a_j > 0 only) and entries every a_j joined by SEP,
-    the body of the ``cycle_type`` array that ``wreath --json`` prints.
+    is "1^2 3^1" (the a_j > 0 only) and entries every a_j joined by ``sep``;
+    with SEP that is the body of the ``cycle_type`` array that ``wreath
+    --json`` prints.  A caller that never reads entries passes ",", two
+    characters an a_j where SEP takes ten, to keep the p(n) rows small.
 
     The walk goes over distinct part sizes (Knuth, TAOCP 4A 7.2.1.4): after
     parts up to j, the next size k runs upward from j + 1 with a_k counting
@@ -46,8 +49,8 @@ def partitions(n: int) -> list[tuple[int, int, str, str]]:
     part, from tables built once.  Class sizes n! / denominator are exact."""
     _check_degree(n)
     fact_n = math.factorial(n)
-    zeros = [f"0{SEP}" * g for g in range(n)]  # a_j = 0 before a part
-    tails = [f"{SEP}0" * g for g in range(n)]  # a_j = 0 after the largest part
+    zeros = [f"0{sep}" * g for g in range(n)]  # a_j = 0 before a part
+    tails = [f"{sep}0" * g for g in range(n)]  # a_j = 0 after the largest part
     # parts[k][m]: the denominator factor k^m m!, the text "k^m" and str(m)
     parts = [None] + [[(k**m * math.factorial(m), f"{k}^{m}", str(m))
                        for m in range(n // k + 1)] for k in range(1, n + 1)]
@@ -68,7 +71,7 @@ def partitions(n: int) -> list[tuple[int, int, str, str]]:
             for ak in range(top - 1 - (not left), 0, -1):  # leaves more than k
                 factor, part, digits = table[ak]
                 walk(k, rest - k * ak, denom * factor, cycles + ak, f"{text}{part} ",
-                     f"{before}{digits}{SEP}")
+                     f"{before}{digits}{sep}")
         append((fact_n // (denom * rest), cycles + 1, f"{text}{rest}^1",
                 f"{entries}{zeros[rest - j - 1]}1{tails[n - rest]}"))
 
@@ -127,22 +130,20 @@ def rank_polynomial_symmetric(n: int) -> RankPolynomial:
 
 def rank_wreath_cyclic(rk: int, n: int) -> int:
     """Necklace closed form for C wr Z_n: sum_{k<n} rk^gcd(k, n) (Polya
-    1937) = sum_{d|n} phi(n/d) rk^d, as phi(n/d) of the k have gcd d;
-    rk^n + (n-1) rk for prime n."""
+    1937), each gcd counted once; rk^n + (n-1) rk for prime n."""
     if n < 1:
         raise OutOfRange(f"degree must be >= 1, got {n}")
-    phi = {}  # divisor e of n -> phi(e), from sum_{d|e} phi(d) = e
-    for e in sorted({q for d in range(1, math.isqrt(n) + 1) if not n % d for q in (d, n // d)}):
-        phi[e] = e - sum(f for d, f in phi.items() if not e % d)
-    return sum(f * rk ** (n // e) for e, f in phi.items())
+    gcds = Counter(math.gcd(k, n) for k in range(n))
+    return sum(count * rk**d for d, count in gcds.items())
 
 
-def rank_wreath_subgroup(rk: int, group: FiniteGroup) -> tuple[int, list[tuple]]:
+def rank_wreath_subgroup(rk: int, group: FiniteGroup,
+                         sep: str = SEP) -> tuple[int, list[tuple]]:
     """Total rank of C wr G for an explicitly materialized G <= S_n, and one
     row (entries, text, representative, class size, cycle count,
     contribution) per conjugacy class; entries and text are the
-    representative's cycle type a as in ``partitions``.  rk^c is computed
-    once per cycle count c that occurs."""
+    representative's cycle type a as in ``partitions(n, sep)``.  rk^c is
+    computed once per cycle count c that occurs."""
     power = functools.cache(rk.__pow__)
     rows = []
     for cls in perms.conjugacy_classes(group).classes:
@@ -150,16 +151,16 @@ def rank_wreath_subgroup(rk: int, group: FiniteGroup) -> tuple[int, list[tuple]]
         a = cycle_type_of(rep)
         c = sum(a)
         text = " ".join(f"{j}^{a[j - 1]}" for j in itertools.compress(itertools.count(1), a))
-        rows.append((SEP.join(map(str, a)), text, rep, len(cls), c, len(cls) * power(c)))
+        rows.append((sep.join(map(str, a)), text, rep, len(cls), c, len(cls) * power(c)))
     return sum(map(operator.itemgetter(5), rows)), rows
 
 
-def rank_wreath_symmetric(rk: int, n: int) -> tuple[int, list[tuple]]:
+def rank_wreath_symmetric(rk: int, n: int, sep: str = SEP) -> tuple[int, list[tuple]]:
     """Total rank of C wr S_n and its rows, shaped as in
     ``rank_wreath_subgroup`` with representative None, from the rows of
-    ``partitions(n)``; S_n is never materialized.  InconsistencyError if the
-    class sizes do not sum to n!, raised before any row is built."""
-    classes = partitions(n)
+    ``partitions(n, sep)``; S_n is never materialized.  InconsistencyError if
+    the class sizes do not sum to n!, raised before any row is built."""
+    classes = partitions(n, sep)
     order = sum(map(operator.itemgetter(0), classes))
     if order != math.factorial(n):
         raise InconsistencyError(f"class sizes of S_{n} sum to {order}, not {n}!")

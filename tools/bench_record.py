@@ -12,14 +12,9 @@ workload and trace setting, so a claimed gain needs at least ten seeds:
 with fewer, "better on nine of ten pairs" cannot be read off.  Only the
 last stdout line of a run, its result object, is kept.  ``merge`` lays
 those lines out side by side: per workload and trace setting, each
-metric's values per checkout in seed order, the median and quartiles
-[q1, q3] of each, and each run's ``correct`` and ``failed`` fields.  When
-exactly two checkouts ran, each metric row also counts, per checkout, the
-seeds on which it read strictly lower than the other (ties count for
-neither).  With the medians and the quartiles of the checkout compared
-against, that is what a claimed gain is judged by: better on nine of ten
-pairs, and in the median by more than the other's interquartile range.
-Two recorded files then diff row by row.
+metric's values per checkout in seed order, the median of each, and each
+run's ``correct`` and ``failed`` fields.  Two recorded files then diff row
+by row.
 
 Every run starts from source: each ``__pycache__`` under the checkout's
 ``src/`` is deleted first, and the run gets ``PYTHONDONTWRITEBYTECODE=1``,
@@ -75,23 +70,9 @@ def merge(runs) -> dict:
     for workload in out.values():
         for block in workload.values():
             for row in block["metrics"].values():
-                values = row["values"]
-                row["median"] = {label: statistics.median(v) for label, v in values.items()}
-                row["quartiles"] = {label: quartiles(v) for label, v in values.items()}
-                if len(values) == 2:
-                    (a, va), (b, vb) = values.items()
-                    row["lower"] = {a: sum(x < y for x, y in zip(va, vb)),
-                                    b: sum(y < x for x, y in zip(va, vb))}
+                row["median"] = {label: statistics.median(values)
+                                 for label, values in row["values"].items()}
     return out
-
-
-def quartiles(values) -> list:
-    """[q1, q3] of ``values`` by linear interpolation between order
-    statistics (``statistics.quantiles`` "inclusive"); [v, v] for one value."""
-    if len(values) == 1:
-        return [values[0], values[0]]
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return [q1, q3]
 
 
 def main(argv=None) -> int:
