@@ -7,10 +7,10 @@ braiding is an *unverified assumption* of every downstream computation.
 
 Twists are exact rationals r with 0 <= r < 1, meaning theta = exp(2*pi*i*r).
 
-``ModularData.product_table`` stores each product x⊗y = sum_u N_xy^u u as the
-integer sum_u N_xy^u 2^(B u), one B-bit slot per label u, with
-B = (max N^2 * rank).bit_length(), and interns these vectors to small ids.
-``validate_mtc`` checks associativity on them: (x⊗y)⊗z is sum_w N_xy^w (w⊗z)
+``validate_mtc`` packs each product x⊗y = sum_u N_xy^u u into the integer
+sum_u N_xy^u 2^(B u), one B-bit slot per label u, with
+B = (max N^2 * rank).bit_length(), interns these vectors to small ids, and
+checks associativity on them: (x⊗y)⊗z is sum_w N_xy^w (w⊗z)
 and x⊗(y⊗z) is sum_w N_yz^w (x⊗w).  A slot of either side adds at most rank
 terms of at most max N^2 each, which is below 2^B, so no slot carries into
 the next: the sides are equal as integers exactly when they are equal slot
@@ -25,10 +25,6 @@ side the chunks x of the right sums of the y⊗z joined in z order, and the
 two are compared whole; only pairs that differ are decoded into slots.
 The unit laws and duality read the same vectors: unit⊗x and x⊗unit must
 both be 2^(B x), and N_xy^unit is the unit slot of x⊗y.
-A label permutation g preserves N exactly when sigma_g(x⊗y) = (g x)⊗(g y)
-for every pair, where sigma_g moves slot u to slot g(u): each slot holds one
-N < 2^B and sigma_g moves whole slots, so the integers are equal exactly
-when the slots are.
 Multiplicities are nonnegative; the file format admits positive ones only.
 """
 
@@ -67,26 +63,6 @@ class ModularData:
     def n(self, x: int, y: int, z: int) -> int:
         """Fusion coefficient N_{xy}^z; absent triples are 0."""
         return self.fusion.get((x, y, z), 0)
-
-    @cached_property
-    def product_table(self) -> tuple:
-        """(product_id, vector_id, terms, B): the id of each x⊗y, each vector's id,
-        the (slots u, values N) of each id.  ``fusion`` must not change after."""
-        width = (max(self.fusion.values(), default=0) ** 2 * self.rank).bit_length()
-        packed = [[0] * self.rank for _ in self.labels]
-        for (x, y, z), mult in self.fusion.items():
-            packed[x][y] += mult << width * z
-        vector_id = {v: i for i, v in enumerate(dict.fromkeys(chain.from_iterable(packed)))}
-        mask = (1 << width) - 1
-        terms = []
-        for v in vector_id:
-            slots = []
-            while v > 0:  # pop the lowest nonzero slot (> 0, not != 0: stops on N < 0 too)
-                z = ((v & -v).bit_length() - 1) // width
-                slots.append((z, v >> width * z & mask))
-                v &= ~(mask << width * z)
-            terms.append(tuple(zip(*slots)) or ((), ()))
-        return [list(map(vector_id.__getitem__, row)) for row in packed], vector_id, terms, width
 
     @cached_property
     def _positions(self) -> dict[str, int]:
@@ -205,7 +181,6 @@ def mtc_from_doc(doc) -> ModularData:
             raise UnknownLabel(f"twists reference unknown labels {extra}")
         raise ParseError(f"twists missing for labels {missing}")
     twists = []
-    canon: dict[Fraction, Fraction] = {}  # equal twists as one object: tuples compare by identity
     for label in labels:
         pair = twists_doc[label]
         if not (isinstance(pair, list) and len(pair) == 2
@@ -214,8 +189,7 @@ def mtc_from_doc(doc) -> ModularData:
         num, den = pair
         if den == 0:
             raise InvalidRational(f"twist of {label!r} has denominator 0")
-        twist = Fraction(num, den) % 1
-        twists.append(canon.setdefault(twist, twist))
+        twists.append(Fraction(num, den) % 1)
 
     if "duals" in doc:
         duals_doc = doc["duals"]
@@ -269,13 +243,33 @@ def serialize_mtc(m: ModularData) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
+def _product_table(m: ModularData) -> tuple:
+    """(product_id, vector_id, terms, B): the id of each x⊗y, each vector's id,
+    the (slots u, values N) of each id (see the module docstring)."""
+    width = (max(m.fusion.values(), default=0) ** 2 * m.rank).bit_length()
+    packed = [[0] * m.rank for _ in m.labels]
+    for (x, y, z), mult in m.fusion.items():
+        packed[x][y] += mult << width * z
+    vector_id = {v: i for i, v in enumerate(dict.fromkeys(chain.from_iterable(packed)))}
+    mask = (1 << width) - 1
+    terms = []
+    for v in vector_id:
+        slots = []
+        while v > 0:  # pop the lowest nonzero slot (> 0, not != 0: stops on N < 0 too)
+            z = ((v & -v).bit_length() - 1) // width
+            slots.append((z, v >> width * z & mask))
+            v &= ~(mask << width * z)
+        terms.append(tuple(zip(*slots)) or ((), ()))
+    return [list(map(vector_id.__getitem__, row)) for row in packed], vector_id, terms, width
+
+
 def validate_mtc(m: ModularData) -> ValidationReport:
     """Check every fusion-ring axiom; reports all violations, not the first."""
     violations: list[Violation] = []
     rng = range(m.rank)
     lab = m.labels
     unit_label = lab[m.unit]
-    product_id, vector_id, terms_of, width = m.product_table
+    product_id, vector_id, terms_of, width = _product_table(m)
     mask = (1 << width) - 1
     vectors = list(vector_id)
 

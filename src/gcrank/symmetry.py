@@ -11,7 +11,6 @@ global symmetry.
 
 from __future__ import annotations
 
-from operator import itemgetter, lshift
 from pathlib import Path
 
 from . import perms
@@ -25,9 +24,8 @@ def validate_automorphism(m: ModularData, g: tuple[int, ...]) -> ValidationRepor
     """Check that the permutation g, the tuple of its images (label x goes
     to ``g[x]``), preserves the unit, duals, fusion coefficients, and twists.
 
-    Duals and twists are compared as whole permuted tuples, fusion by product
-    vector ids (see ``mtc``); only what differs is walked label by label, or
-    entry by entry for the pairs whose products differ, to list violations."""
+    Fusion is compared as one dict, N against N moved by g; only when the two
+    differ are the entries walked, in file order, to list violations."""
     if len(g) != m.rank:
         raise DegreeMismatch(
             f"permutation degree {len(g)} != number of labels {m.rank}"
@@ -42,42 +40,35 @@ def validate_automorphism(m: ModularData, g: tuple[int, ...]) -> ValidationRepor
         ))
 
     dual, twists = m.dual, m.twists
-    at_g = itemgetter(*g)  # at rank 1 a bare item: the loop runs and finds nothing
-    if at_g(twists) != twists or itemgetter(*dual)(g) != at_g(dual):
-        for x in range(m.rank):
-            if g[dual[x]] != dual[g[x]]:
-                violations.append(Violation(
-                    "dual", (x,),
-                    f"dual of {lab[x]!r}: image of dual is {lab[g[dual[x]]]!r} "
-                    f"but dual of image is {lab[dual[g[x]]]!r}",
-                ))
-            if twists[g[x]] != twists[x]:
-                violations.append(Violation(
-                    "twist", (x,),
-                    f"twist({lab[x]!r}) = {twists[x]} but "
-                    f"twist({lab[g[x]]!r}) = {twists[g[x]]}",
-                ))
+    for x in range(m.rank):
+        if g[dual[x]] != dual[g[x]]:
+            violations.append(Violation(
+                "dual", (x,),
+                f"dual of {lab[x]!r}: image of dual is {lab[g[dual[x]]]!r} "
+                f"but dual of image is {lab[dual[g[x]]]!r}",
+            ))
+        if twists[g[x]] != twists[x]:
+            violations.append(Violation(
+                "twist", (x,),
+                f"twist({lab[x]!r}) = {twists[x]} but "
+                f"twist({lab[g[x]]!r}) = {twists[g[x]]}",
+            ))
 
-    product_id, vector_id, terms, width = m.product_table
-    shift = [width * u for u in g]  # sigma_g moves slot u to slot g(u)
-    image = [vector_id.get(sum(map(lshift, ns, map(shift.__getitem__, us))), -1)
-             for us, ns in terms]
-    # the pairs (x, y) with sigma_g(x⊗y) != (g x)⊗(g y)
-    rng = range(m.rank)
-    flagged = {(x, y) for x, row, g_row in zip(rng, product_id, map(product_id.__getitem__, g))
-               for y, v, gy in zip(rng, row, g) if image[v] != g_row[gy]}
-    if flagged:
-        # walk the fusion entries in file order: each entry, then its preimage
-        # under g, each triple once, and only of flagged pairs, since for any
-        # other (a, b) sigma_g(a⊗b) = (g a)⊗(g b), so every N of it agrees
+    # moved[g e] = N(e); both dicts have one key per support triple and g is a
+    # bijection on triples, so they are equal exactly when g preserves N
+    moved = {(g[x], g[y], g[z]): n for (x, y, z), n in m.fusion.items()}
+    if moved != m.fusion:
+        # walk the entries in file order: each entry e, then its preimage under
+        # g, each triple once.  A failing triple is e with N(g e) != N(e), or
+        # the preimage of an e with N(g^-1 e) = moved[e] != N(e); no other
+        # entry's walk can report one, so it is skipped
         ginv = perms.inverse(g)
-        walked = flagged | {(g[a], g[b]) for a, b in flagged}
         seen: set[tuple[int, int, int]] = set()
-        for x, y, z in m.fusion:
-            if (x, y) not in walked:
+        for (x, y, z), n in m.fusion.items():
+            if m.n(g[x], g[y], g[z]) == n == moved.get((x, y, z), 0):
                 continue
             for a, b, c in ((x, y, z), (ginv[x], ginv[y], ginv[z])):
-                if (a, b) not in flagged or (a, b, c) in seen:
+                if (a, b, c) in seen:
                     continue
                 seen.add((a, b, c))
                 if m.n(g[a], g[b], g[c]) == m.n(a, b, c):

@@ -1,7 +1,7 @@
 import dataclasses
-import functools
 import itertools
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gcrank
-from gcrank import cli, perms, symmetry, wreath
+from gcrank import cli, mtc, perms, symmetry, wreath
 from gcrank.errors import DegreeMismatch, NotAnAutomorphism, ParseError
 from gcrank.mtc import ModularData, Violation
 from gcrank.perms import format_cycles
@@ -117,7 +117,7 @@ def _unit_moved(m, automorphisms):
     return m, tuple(images)
 
 
-# failing generators whose flagged pairs the fusion fallback walks
+# failing generators whose fusion violations the file-order walk lists
 FALLBACK_CASES = {
     "fibonacci^3 unit moved": _unit_moved(*_power_automorphisms("fibonacci", 3)),
     "ising^3 unit moved": _unit_moved(*AUTOMORPHISM_CASES[0]),
@@ -136,6 +136,18 @@ FALLBACK_CASES |= {
 
 
 @st.composite
+def shuffled_entries(draw):
+    """A ring of FALLBACK_CASES, or toric code^2 with one entry doubled, its
+    fusion entries in a drawn order, with a generator of the same case."""
+    m, p = draw(st.sampled_from(
+        list(FALLBACK_CASES.values()) + [_unit_moved(*DOUBLED_TORIC)]
+        + [(DOUBLED_TORIC[0], q) for q in DOUBLED_TORIC[1]]))
+    entries = list(m.fusion.items())
+    draw(st.randoms(use_true_random=False)).shuffle(entries)
+    return dataclasses.replace(m, fusion=dict(entries)), p
+
+
+@st.composite
 def broken_generators(draw):
     """An automorphism of Ising^3, Fibonacci^4 or toric code^2 (one entry at
     10^6 or not) whose images of the unit, or of two labels, are exchanged:
@@ -151,8 +163,8 @@ def broken_generators(draw):
 
 def slot_permuted_ring(low, high):
     """Labels 1, a, b, c with a⊗a = low b + high c and b⊗b = high b + low c:
-    the two product vectors are slot permutations of each other under (b c),
-    so sigma_(b c) maps one interned vector onto the other."""
+    (b c) exchanges the multiplicities of a⊗a and of b⊗b, which keeps the
+    set of values of N but not N."""
     fusion = {(0, x, x): 1 for x in range(4)} | {(x, 0, x): 1 for x in range(4)}
     fusion |= {(1, 1, 2): low, (1, 1, 3): high, (2, 2, 2): high, (2, 2, 3): low}
     return ModularData(name="slot-permuted", labels=("1", "a", "b", "c"), unit=0,
@@ -160,17 +172,16 @@ def slot_permuted_ring(low, high):
 
 
 def count_table_builds(monkeypatch):
-    """The ModularData instances whose product table is built from now on."""
+    """The packed product tables built from now on, each as the ModularData
+    and the name of the function that asked for it."""
     builds = []
-    build = ModularData.product_table.func
+    build = mtc._product_table
 
     def spy(m):
-        builds.append(m)
+        builds.append((m, sys._getframe(1).f_code.co_name))
         return build(m)
 
-    table = functools.cached_property(spy)
-    table.__set_name__(ModularData, "product_table")
-    monkeypatch.setattr(ModularData, "product_table", table)
+    monkeypatch.setattr(mtc, "_product_table", spy)
     return builds
 
 
@@ -271,14 +282,21 @@ class TestValidateAutomorphism:
             assert len(violations) >= 100
 
     @pytest.mark.parametrize("case", FALLBACK_CASES)
-    def test_flagged_pair_walk_equals_full_entry_walk(self, case):
-        # the fallback walks every fusion entry in file order but checks
-        # only the triples of flagged pairs; the reference checks them all
+    def test_filtered_walk_equals_full_entry_walk(self, case):
+        # the walk skips the entries e with N(g e) = N(e) = N(g^-1 e); the
+        # reference checks every entry and its preimage
         m, p = FALLBACK_CASES[case]
         violations = list(validate_automorphism(m, p).violations)
         assert violations == reference_automorphism(m, p)
         fusion = [v for v in violations if v.rule == "fusion"]
         assert len(fusion) >= (0 if case.endswith("swap_factors") else 40)
+
+    @given(shuffled_entries())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_violations_follow_any_entry_order(self, case):
+        m, p = case
+        assert list(validate_automorphism(m, p).violations) == \
+            reference_automorphism(m, p)
 
     def test_duals_checked_when_twists_agree(self):
         # Z_4 with every twist 0: a permutation can break duals alone, so
@@ -332,11 +350,11 @@ class TestBuildSymmetry:
             return original(m, p)
 
         monkeypatch.setattr(symmetry, "validate_automorphism", spy)
-        power, s = symmetric_power_symmetry(ising, 4)
+        _, s = symmetric_power_symmetry(ising, 4)
         generators = wreath.preset_generators("s4", 4)
         assert s.order == 24
         assert len(calls) == len(generators)
-        assert builds == [power]
+        assert builds == []  # automorphisms are checked on the fusion dict alone
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -349,8 +367,10 @@ class TestBuildSymmetry:
         for element in s.elements:
             assert validate_automorphism(m, element).violations == ()
 
-    @pytest.mark.parametrize("command", ["validate", "rank"])
+    @pytest.mark.parametrize("command", ["validate", "rank", "burnside"])
     def test_one_table_per_cli_run(self, command, monkeypatch, capsys):
+        # validate_mtc builds the one table of a validate run; the generator
+        # checks of every command, and rank and burnside as a whole, build none
         builds = count_table_builds(monkeypatch)
         calls = []
         original = symmetry.validate_automorphism
@@ -360,10 +380,11 @@ class TestBuildSymmetry:
             return original(m, p)
 
         monkeypatch.setattr(symmetry, "validate_automorphism", spy)
-        mtc = str(gcrank.bundled_data_path("toric_code.json"))
+        mtc_path = str(gcrank.bundled_data_path("toric_code.json"))
         sym = str(gcrank.bundled_data_path("toric_code_swap.json"))
-        assert cli.main([command, "--mtc", mtc, "--sym", sym]) == 0
-        assert len(builds) == 1 and set(calls) == set(builds)
+        assert cli.main([command, "--mtc", mtc_path, "--sym", sym]) == 0
+        assert len(calls) == 1
+        assert builds == ([(calls[0], "validate_mtc")] if command == "validate" else [])
 
     def test_bad_generator_rejected(self, ising):
         with pytest.raises(NotAnAutomorphism):
