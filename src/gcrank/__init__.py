@@ -1,7 +1,6 @@
 """gcrank: ranks of G-crossed braided extensions of modular tensor
 categories from finite combinatorial data."""
 
-from importlib import resources
 from pathlib import Path
 
 from .errors import GcrankError
@@ -34,5 +33,9 @@ __version__ = "0.1.0"
 
 
 def bundled_data_path(name: str) -> Path:
-    """Path to a bundled data file, e.g. ``bundled_data_path("ising.json")``."""
+    """Path to a bundled data file, e.g. ``bundled_data_path("ising.json")``.
+    ``importlib.resources`` is imported here, not with the package, since
+    no CLI command calls this."""
+    from importlib import resources
+
     return Path(str(resources.files("gcrank").joinpath("data", name)))

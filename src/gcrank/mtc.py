@@ -5,7 +5,11 @@ Only the data the rank formulas consume is modeled.  Quantum dimensions
 and S/T matrices are deliberately absent, so non-degeneracy of the
 braiding is an *unverified assumption* of every downstream computation.
 
-Twists are exact rationals r with 0 <= r < 1, meaning theta = exp(2*pi*i*r).
+Twists are integers over one denominator N: ``twists[x]`` is t_x with
+0 <= t_x < N and theta_x = exp(2*pi*i*t_x/N), where N is
+``twist_denominator``, the lcm of the reduced denominators of the file's
+twists (1 when every twist is 0).  ``twist_text`` writes t_x/N in lowest
+terms.
 
 ``validate_mtc`` packs each product x⊗y = sum_u N_xy^u u into the integer
 sum_u N_xy^u 2^(B u), one B-bit slot per label u, with
@@ -31,9 +35,8 @@ Multiplicities are nonnegative; the file format admits positive ones only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
+import math
+from collections import namedtuple
 from itertools import chain
 from operator import itemgetter, mul
 from pathlib import Path
@@ -47,14 +50,27 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, eq=False)
 class ModularData:
-    name: str
-    labels: tuple[str, ...]
-    unit: int
-    fusion: dict[tuple[int, int, int], int]
-    dual: tuple[int, ...]
-    twists: tuple[Fraction, ...]
+    """A fusion ring with duals and twists, the twists as integers over
+    ``twist_denominator`` (see the module docstring).  Equality is identity.
+
+    ``index`` is the label -> position dict, built here unless the caller
+    (the parser) already has it; it is not a field."""
+
+    __slots__ = ("name", "labels", "unit", "fusion", "dual", "twists",
+                 "twist_denominator", "_index")
+
+    def __init__(self, name: str, labels: tuple[str, ...], unit: int,
+                 fusion: dict[tuple[int, int, int], int], dual: tuple[int, ...],
+                 twists: tuple[int, ...], twist_denominator: int, index=None):
+        self.name, self.labels, self.unit, self.fusion = name, labels, unit, fusion
+        self.dual, self.twists, self.twist_denominator = dual, twists, twist_denominator
+        self._index = {label: i for i, label in enumerate(labels)} if index is None else index
+
+    def _replace(self, **changes) -> ModularData:
+        """A copy with the named fields changed, as for a named tuple."""
+        fields = {name: getattr(self, name) for name in self.__slots__ if name != "_index"}
+        return ModularData(**{**fields, **changes})
 
     @property
     def rank(self) -> int:
@@ -64,12 +80,14 @@ class ModularData:
         """Fusion coefficient N_{xy}^z; absent triples are 0."""
         return self.fusion.get((x, y, z), 0)
 
-    @cached_property
-    def _positions(self) -> dict[str, int]:
-        return {label: i for i, label in enumerate(self.labels)}
-
     def label_index(self, label: str) -> int:
-        return find_label(self._positions, label)
+        return find_label(self._index, label)
+
+    def twist_text(self, x: int) -> str:
+        """t_x/N in lowest terms, as ``str(Fraction)`` writes it: "0" or "n/d"."""
+        t = self.twists[x]
+        g = math.gcd(t, self.twist_denominator)
+        return f"{t // g}/{self.twist_denominator // g}" if t else "0"
 
 
 def find_label(positions: dict[str, int], label) -> int:
@@ -80,16 +98,12 @@ def find_label(positions: dict[str, int], label) -> int:
         raise UnknownLabel(f"unknown label {label!r}") from None
 
 
-@dataclass(frozen=True)
-class Violation:
-    rule: str
-    indices: tuple[int, ...]
-    message: str
+class Violation(namedtuple("Violation", "rule indices message")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...] = ()
+class ValidationReport(namedtuple("ValidationReport", "violations", defaults=((),))):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -180,7 +194,7 @@ def mtc_from_doc(doc) -> ModularData:
         if extra:
             raise UnknownLabel(f"twists reference unknown labels {extra}")
         raise ParseError(f"twists missing for labels {missing}")
-    twists = []
+    reduced = []  # each twist mod 1 in lowest terms, denominator > 0
     for label in labels:
         pair = twists_doc[label]
         if not (isinstance(pair, list) and len(pair) == 2
@@ -189,7 +203,12 @@ def mtc_from_doc(doc) -> ModularData:
         num, den = pair
         if den == 0:
             raise InvalidRational(f"twist of {label!r} has denominator 0")
-        twists.append(Fraction(num, den) % 1)
+        if den < 0:
+            num, den = -num, -den
+        num %= den
+        g = math.gcd(num, den)
+        reduced.append((num // g, den // g))
+    denominator = math.lcm(*(den for _, den in reduced))
 
     if "duals" in doc:
         duals_doc = doc["duals"]
@@ -205,7 +224,9 @@ def mtc_from_doc(doc) -> ModularData:
         unit=unit,
         fusion=fusion,
         dual=dual,
-        twists=tuple(twists),
+        twists=tuple(num * (denominator // den) for num, den in reduced),
+        twist_denominator=denominator,
+        index=index,
     )
 
 
@@ -234,12 +255,12 @@ def serialize_mtc(m: ModularData) -> str:
         "labels": list(m.labels),
         "unit": m.labels[m.unit],
         "fusion": fusion_entries,
-        "twists": {
-            label: [m.twists[i].numerator, m.twists[i].denominator]
-            for i, label in enumerate(m.labels)
-        },
+        "twists": {},
         "duals": {label: m.labels[m.dual[i]] for i, label in enumerate(m.labels)},
     }
+    for i, label in enumerate(m.labels):
+        num, _, den = m.twist_text(i).partition("/")  # "0" is 0/1
+        doc["twists"][label] = [int(num), int(den or 1)]
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
@@ -354,7 +375,16 @@ def validate_mtc(m: ModularData) -> ValidationReport:
     if m.twists[m.unit] != 0:
         violations.append(Violation(
             "unit-twist", (m.unit,),
-            f"twist of the unit is {m.twists[m.unit]}, expected 0",
+            f"twist of the unit is {m.twist_text(m.unit)}, expected 0",
         ))
+
+    # dual twists: theta of dual(x) is theta of x
+    for x, d in enumerate(m.dual):
+        if m.twists[d] != m.twists[x]:
+            violations.append(Violation(
+                "dual-twist", (x, d),
+                f"twist({lab[x]!r}) = {m.twist_text(x)} but its dual "
+                f"{lab[d]!r} has twist {m.twist_text(d)}",
+            ))
 
     return ValidationReport(tuple(violations))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import repeat
 from operator import floordiv, itemgetter, mod
 
@@ -126,8 +126,7 @@ def format_cycles(p: tuple[int, ...], names=None) -> str:
 # the degree is at least 2 (on one point itemgetter returns a bare entry).
 # It is faster than ``tuple(map(...))``.
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(namedtuple("FiniteGroup", "degree elements generators right parent via")):
     """A group of permutations, materialized as an explicit list of image
     tuples.
 
@@ -139,12 +138,7 @@ class FiniteGroup:
     conjugacy classes from this record.
     """
 
-    degree: int
-    elements: tuple[tuple[int, ...], ...]
-    generators: tuple[tuple[int, ...], ...]
-    right: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
-    parent: tuple[int, ...] = field(repr=False, compare=False)
-    via: tuple[int, ...] = field(repr=False, compare=False)
+    __slots__ = ()
 
     @property
     def order(self) -> int:
@@ -301,9 +295,8 @@ def generate_group(
     )
 
 
-@dataclass(frozen=True)
-class ConjugacyClassPartition:
-    classes: tuple[tuple[int, ...], ...]
+class ConjugacyClassPartition(namedtuple("ConjugacyClassPartition", "classes")):
+    __slots__ = ()
 
 
 def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassPartition:

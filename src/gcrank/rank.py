@@ -8,21 +8,19 @@ asserted equal; a mismatch is a bug, never valid data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import perms
 from .errors import InconsistencyError
 from .perms import FiniteGroup
 
 
-@dataclass(frozen=True)
-class RankReport:
-    """``per_element[i]`` is the graded rank of ``group.elements[i]`` in ``rank_report(group)``."""
+class RankReport(namedtuple("RankReport", "per_element orbits total_rank burnside_total")):
+    """``per_element[i]`` is the graded rank of ``group.elements[i]`` in
+    ``rank_report(group)``; ``burnside_total`` is |G| times the orbit count,
+    the second route, equal to ``total_rank``."""
 
-    per_element: tuple[int, ...]
-    orbits: tuple[frozenset[int], ...]
-    total_rank: int
-    burnside_total: int  # |G| times the orbit count: the second route, equal to total_rank
+    __slots__ = ()
 
 
 def rank_report(group: FiniteGroup) -> RankReport:

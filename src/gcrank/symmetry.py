@@ -50,8 +50,8 @@ def validate_automorphism(m: ModularData, g: tuple[int, ...]) -> ValidationRepor
         if twists[g[x]] != twists[x]:
             violations.append(Violation(
                 "twist", (x,),
-                f"twist({lab[x]!r}) = {twists[x]} but "
-                f"twist({lab[g[x]]!r}) = {twists[g[x]]}",
+                f"twist({lab[x]!r}) = {m.twist_text(x)} but "
+                f"twist({lab[g[x]]!r}) = {m.twist_text(g[x])}",
             ))
 
     # moved[g e] = N(e); both dicts have one key per support triple and g is a

@@ -12,8 +12,7 @@ import itertools
 import math
 import operator
 import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from . import perms
 from .errors import InconsistencyError, OutOfRange, ParseError, TooLarge
@@ -87,12 +86,11 @@ def cycle_type_of(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(a)
 
 
-@dataclass(frozen=True)
-class RankPolynomial:
+class RankPolynomial(namedtuple("RankPolynomial", "coefficients")):
     """Big-integer polynomial in the base rank; coefficients[k] is the
     coefficient of x^k, with zero constant term."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def degree(self) -> int:

@@ -1,6 +1,5 @@
 import itertools
 import math
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -30,7 +29,8 @@ def reference_materialize_power(m, n):
     """The n-fold product category C^n (n >= 1) by a walk over n-tuples of
     fusion entries, with a tuple -> label index dict.  Labels are "s*t*..."
     in lexicographic order of the factor tuples; N, duals and twists combine
-    factor by factor.  Small n only: the label count is rk(C)^n."""
+    factor by factor, twists over C's denominator (each twist of C is the
+    twist of a label of C^n).  Small n only: the label count is rk(C)^n."""
     tuples = list(itertools.product(range(m.rank), repeat=n))
     index = {t: i for i, t in enumerate(tuples)}
     labels = tuple("*".join(m.labels[i] for i in t) for t in tuples)
@@ -44,8 +44,9 @@ def reference_materialize_power(m, n):
         fusion[key] = fusion.get(key, 0) + mult
     unit = index[(m.unit,) * n]
     dual = tuple(index[tuple(m.dual[i] for i in t)] for t in tuples)
-    twists = tuple(sum((m.twists[i] for i in t), Fraction(0)) % 1 for t in tuples)
-    return ModularData(f"{m.name}^{n}", labels, unit, fusion, dual, twists)
+    twists = tuple(sum(m.twists[i] for i in t) % m.twist_denominator for t in tuples)
+    return ModularData(f"{m.name}^{n}", labels, unit, fusion, dual, twists,
+                       m.twist_denominator)
 
 
 def reference_factor_permutation(m, n, sigma):

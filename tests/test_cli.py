@@ -491,10 +491,17 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
 
 
 def test_import_loads_no_numpy():
+    """Starting the CLI loads no numpy, and none of the standard modules that
+    no command runs: ``dataclasses`` (with ``inspect``), ``fractions`` (with
+    ``decimal`` and ``numbers``), ``typing`` and ``importlib.resources``.
+    ``-S`` keeps the host's ``site`` from loading any of them first."""
     src = Path(gcrank.__file__).resolve().parents[1]
+    unused = ("numpy", "dataclasses", "inspect", "fractions", "decimal", "numbers",
+              "typing", "importlib.resources")
     subprocess.run(
-        [sys.executable, "-c",
-         "import gcrank.cli, sys; assert 'numpy' not in sys.modules"],
+        [sys.executable, "-S", "-c",
+         f"import gcrank.cli, sys; loaded = [m for m in {unused!r} if m in sys.modules]; "
+         "assert not loaded, loaded"],
         env=dict(os.environ, PYTHONPATH=str(src)), check=True, timeout=60,
     )
 

@@ -14,7 +14,8 @@ CLI parser was cached and ``mtc_from_doc`` parsed fusion entries in one loop;
 Z_4 is not self-dual, so they fire the dual rules the other files cannot.
 Its unit is "0", and ``validate_z4_bad_duals`` was recorded again when the
 unit-law and duality messages began to write the unit's label where they
-wrote a literal 1.  The ``rank`` and ``burnside`` text cases were recorded
+wrote a literal 1, and again when ``validate`` began to check that dual
+labels have equal twists.  The ``rank`` and ``burnside`` text cases were recorded
 before the rank report lost its symmetry, class and JSON views and the CLI
 took over rendering ``rank``.  The ``validate --sym`` text cases were
 recorded before ``validate`` read the symmetry file ahead of printing the
@@ -98,6 +99,10 @@ CASES = {
     # duals form a 4-cycle: not an involution, and the unit is not self-dual
     "validate_z4_bad_duals": [
         "validate", "--mtc", str(FIXTURES / "z4_bad_duals.json"), "--json"
+    ],
+    # Z_4 with theta_1 = 1/8 but theta_3 = 3/8, although 3 is the dual of 1
+    "validate_z4_bad_dual_twists": [
+        "validate", "--mtc", str(FIXTURES / "z4_bad_dual_twists.json"), "--json"
     ],
 }
 

@@ -1,7 +1,7 @@
 import copy
-import dataclasses
 import itertools
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -133,7 +133,8 @@ def su2_level(k):
         unit=0,
         fusion=fusion,
         dual=tuple(range(k + 1)),
-        twists=tuple(Fraction(j * (j + 2), 4 * (k + 2)) % 1 for j in range(k + 1)),
+        twists=tuple(j * (j + 2) % (4 * (k + 2)) for j in range(k + 1)),
+        twist_denominator=4 * (k + 2),
     )
 
 
@@ -144,7 +145,7 @@ def constant_ring(rank, mult):
     return ModularData(
         name=f"constant-{mult}", labels=tuple(f"a{i}" for i in range(rank)),
         unit=0, fusion=fusion, dual=tuple(range(rank)),
-        twists=(Fraction(0),) * rank,
+        twists=(0,) * rank, twist_denominator=1,
     )
 
 
@@ -155,8 +156,7 @@ def random_ring(rank, top, seed):
         t: rng.randint(1, top)
         for t in itertools.product(range(rank), repeat=3) if rng.random() < 0.6
     }
-    return dataclasses.replace(constant_ring(rank, 1), name=f"random-{top}",
-                               fusion=fusion)
+    return constant_ring(rank, 1)._replace(name=f"random-{top}", fusion=fusion)
 
 
 def _bundled(name):
@@ -193,7 +193,7 @@ def edited_rings(draw):
         label = st.integers(0, m.rank - 1)
         key = draw(st.tuples(label, label, label))
         fusion[key] = fusion.get(key, 0) + draw(st.sampled_from([1, 2, 10**6]))
-    return dataclasses.replace(m, fusion=fusion)
+    return m._replace(fusion=fusion)
 
 
 def associativity_violations(m):
@@ -308,7 +308,7 @@ class TestParse:
     def test_fibonacci(self, fibonacci):
         assert fibonacci.labels == ("1", "tau")
         assert fibonacci.rank == 2
-        assert fibonacci.twists == (Fraction(0), Fraction(2, 5))
+        assert (fibonacci.twists, fibonacci.twist_denominator) == ((0, 2), 5)
         tau = fibonacci.label_index("tau")
         assert fibonacci.n(tau, tau, fibonacci.unit) == 1
         assert fibonacci.n(tau, tau, tau) == 1
@@ -316,7 +316,9 @@ class TestParse:
     def test_toric_code(self, toric_code):
         assert toric_code.rank == 4
         assert toric_code.dual == (0, 1, 2, 3)
-        assert toric_code.twists[toric_code.label_index("f")] == Fraction(1, 2)
+        assert toric_code.twists == (0, 0, 0, 1)
+        assert toric_code.twist_denominator == 2
+        assert toric_code.twist_text(toric_code.label_index("f")) == "1/2"
 
     def test_bad_json(self):
         with pytest.raises(ParseError):
@@ -336,10 +338,34 @@ class TestParse:
 
     def test_twists_reduced_mod_one(self, fibonacci):
         doc = json.loads(gcrank.bundled_data_path("fibonacci.json").read_text())
-        doc["twists"]["tau"] = [7, 5]
-        assert parse_mtc(json.dumps(doc)).twists[1] == Fraction(2, 5)
-        doc["twists"]["tau"] = [-3, 5]
-        assert parse_mtc(json.dumps(doc)).twists[1] == Fraction(2, 5)
+        for pair in ([7, 5], [-3, 5], [3, -5], [-8, -20]):
+            doc["twists"]["tau"] = pair
+            m = parse_mtc(json.dumps(doc))
+            assert (m.twists, m.twist_denominator) == ((0, 2), 5), pair
+
+    @given(st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(-1000, 1000)),
+                    min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_integer_twists_equal_fraction_reading(self, pairs):
+        """t_x/N is the former reading Fraction(num, den) % 1, N is the lcm of
+        those denominators, and messages and the serializer write the same
+        text and pair; denominator 0 is still InvalidRational."""
+        labels = [f"a{i}" for i in range(len(pairs))]
+        doc = {"name": "twists", "labels": labels, "unit": "a0", "fusion": [],
+               "twists": {l: list(pair) for l, pair in zip(labels, pairs)},
+               "duals": {l: l for l in labels}}
+        if any(den == 0 for _, den in pairs):
+            with pytest.raises(InvalidRational):
+                mtc_from_doc(doc)
+            return
+        m = mtc_from_doc(doc)
+        former = [Fraction(num, den) % 1 for num, den in pairs]
+        assert m.twist_denominator == math.lcm(*(r.denominator for r in former))
+        assert all(0 <= t < m.twist_denominator for t in m.twists)
+        assert [Fraction(t, m.twist_denominator) for t in m.twists] == former
+        assert [m.twist_text(x) for x in range(m.rank)] == list(map(str, former))
+        assert json.loads(serialize_mtc(m))["twists"] == {
+            l: [r.numerator, r.denominator] for l, r in zip(labels, former)}
 
     def test_missing_field(self):
         with pytest.raises(ParseError):
@@ -387,7 +413,7 @@ class TestValidate:
         # one entry lowered by 1 in the constant ring: the sides differ in
         # slots that sit at rank * N^2 and just below
         m = constant_ring(4, 10**6)
-        m = dataclasses.replace(m, fusion={**m.fusion, (1, 2, 3): 10**6 - 1})
+        m = m._replace(fusion={**m.fusion, (1, 2, 3): 10**6 - 1})
         found = associativity_violations(m)
         assert found == reference_associativity(m)
         assert found and all(v.rule == "associativity" for v in found)

@@ -458,7 +458,7 @@ class TestMaterializedPower:
         assert factors[power.unit] == (m.unit,) * n
         for t, dual, twist in zip(factors, power.dual, power.twists, strict=True):
             assert factors[dual] == tuple(m.dual[i] for i in t)
-            assert twist == sum(m.twists[i] for i in t) % 1
+            assert twist == sum(m.twists[i] for i in t) % m.twist_denominator
         # each entry is a product of nonzero factor entries, and there are
         # as many entries as n-tuples of those
         assert len(power.fusion) == len(m.fusion) ** n
@@ -469,7 +469,7 @@ class TestMaterializedPower:
     def test_first_power_copies_fusion(self, ising):
         power = reference_materialize_power(ising, 1)
         assert power.fusion == ising.fusion and power.fusion is not ising.fusion
-        for field in ("labels", "unit", "dual", "twists"):
+        for field in ("labels", "unit", "dual", "twists", "twist_denominator"):
             assert getattr(power, field) == getattr(ising, field), field
 
     @pytest.mark.parametrize("base, n", [(b, n) for b, n in POWER_CASES if n <= 4])
