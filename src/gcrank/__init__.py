@@ -1,8 +1,6 @@
 """gcrank: ranks of G-crossed braided extensions of modular tensor
 categories from finite combinatorial data."""
 
-from pathlib import Path
-
 from .errors import GcrankError
 from .mtc import ModularData, ValidationReport, load_mtc, parse_mtc, serialize_mtc, validate_mtc
 from .perms import (
@@ -32,10 +30,10 @@ from .wreath import (
 __version__ = "0.1.0"
 
 
-def bundled_data_path(name: str) -> Path:
+def bundled_data_path(name: str) -> "Path":
     """Path to a bundled data file, e.g. ``bundled_data_path("ising.json")``.
-    ``importlib.resources`` is imported here, not with the package, since
-    no CLI command calls this."""
-    from importlib import resources
+    ``pathlib`` is imported here, not with the package, since no CLI
+    command calls this."""
+    from pathlib import Path
 
-    return Path(str(resources.files("gcrank").joinpath("data", name)))
+    return Path(__file__).parent / "data" / name

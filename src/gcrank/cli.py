@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 domain failure (validation, inconsistency),
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
@@ -176,19 +175,6 @@ def _write_wreath_json(total: int, rows, rk: int, n: int, spec: str, order: int,
     write("\n  ]\n}\n")
 
 
-@contextlib.contextmanager
-def _exact_ints():
-    """Lift the int->str digit limit (none before Python 3.10.7) for the
-    block only: totals print in full, and input files keep the guard."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
-    set_limit(0)
-    try:
-        yield
-    finally:
-        set_limit(limit)
-
-
 def cmd_wreath(args) -> int:
     if (args.rk is None) == (args.mtc is None):
         raise ParseError("exactly one of --rk and --mtc is required")
@@ -216,7 +202,12 @@ def cmd_wreath(args) -> int:
         total, rows = wreath.rank_wreath_subgroup(rk, group, sep)
         order = group.order
         names = perms.point_names(n)  # once per run, not per class
-    with _exact_ints():
+    # lift the int->str digit limit (none before Python 3.10.7) while the
+    # totals print, so they print in full; input files keep the guard
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    set_limit(0)
+    try:
         if args.closed_form and args.json:
             _print_json({"rk": str(rk), "n": n, "group": spec,
                          "closed_form": True, "total_rank": str(total)})
@@ -231,6 +222,8 @@ def cmd_wreath(args) -> int:
                           "contribution"), rows)
             print(f"group order: {order}")
             print(f"total rank:  {total}")
+    finally:
+        set_limit(limit)
     return 0
 
 

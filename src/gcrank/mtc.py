@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections import namedtuple
 from itertools import chain
 from operator import itemgetter, mul
-from pathlib import Path
 
 from .errors import (
     DualityViolation,
@@ -230,15 +230,16 @@ def mtc_from_doc(doc) -> ModularData:
     )
 
 
-def read_data_file(path: str | Path) -> bytes:
+def read_data_file(path: str | os.PathLike) -> bytes:
     """The bytes of an MTC or symmetry file."""
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as f:
+            return f.read()
     except ValueError as exc:  # a NUL byte in the path
         raise ParseError(f"cannot read {str(path)!r}: {exc}") from None
 
 
-def load_mtc(path: str | Path) -> ModularData:
+def load_mtc(path: str | os.PathLike) -> ModularData:
     return parse_mtc(read_data_file(path))
 
 

@@ -11,7 +11,7 @@ global symmetry.
 
 from __future__ import annotations
 
-from pathlib import Path
+import os
 
 from . import perms
 from .errors import DegreeMismatch, NotAnAutomorphism, ParseError
@@ -116,14 +116,13 @@ def parse_generator(m: ModularData, spec) -> tuple[int, ...]:
 
 
 def load_symmetry(
-    path: str | Path, mtc: ModularData | None = None
+    path: str | os.PathLike, mtc: ModularData | None = None
 ) -> tuple[ModularData, dict[str, tuple[int, ...]]]:
     """Read a symmetry file; returns the ModularData and named generators.
 
     The file's "mtc" field (a path relative to the file, or an inline MTC
     document) is used unless an explicit ModularData is supplied.
     """
-    path = Path(path)
     doc = decode_json(read_data_file(path))
     if not isinstance(doc, dict) or not isinstance(doc.get("generators"), dict):
         raise ParseError('symmetry file must be an object with a "generators" object')
@@ -132,7 +131,7 @@ def load_symmetry(
             raise ParseError('symmetry file has no "mtc" field and none was supplied')
         ref = doc["mtc"]
         if isinstance(ref, str):
-            mtc = load_mtc(path.parent / ref)
+            mtc = load_mtc(os.path.join(os.path.dirname(path), ref))
         else:
             mtc = mtc_from_doc(ref)
     generators = {

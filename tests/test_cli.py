@@ -493,15 +493,44 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
 def test_import_loads_no_numpy():
     """Starting the CLI loads no numpy, and none of the standard modules that
     no command runs: ``dataclasses`` (with ``inspect``), ``fractions`` (with
-    ``decimal`` and ``numbers``), ``typing`` and ``importlib.resources``.
-    ``-S`` keeps the host's ``site`` from loading any of them first."""
+    ``decimal`` and ``numbers``), ``typing``, ``importlib.resources``,
+    ``pathlib`` (with ``fnmatch``, ``ntpath``, ``urllib.parse`` and
+    ``ipaddress``) and ``contextlib``.  ``-S`` keeps the host's ``site`` from
+    loading any of them first."""
     src = Path(gcrank.__file__).resolve().parents[1]
     unused = ("numpy", "dataclasses", "inspect", "fractions", "decimal", "numbers",
-              "typing", "importlib.resources")
+              "typing", "importlib.resources", "pathlib", "fnmatch", "ntpath",
+              "urllib.parse", "ipaddress", "contextlib")
     subprocess.run(
         [sys.executable, "-S", "-c",
          f"import gcrank.cli, sys; loaded = [m for m in {unused!r} if m in sys.modules]; "
          "assert not loaded, loaded"],
+        env=dict(os.environ, PYTHONPATH=str(src)), check=True, timeout=60,
+    )
+
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "gcrank" / "data"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.iterdir()))
+def test_bundled_data_path_names_the_file(name):
+    """A ``Path`` to the file in the package directory, the one that
+    ``importlib.resources`` finds."""
+    from importlib import resources
+
+    path = gcrank.bundled_data_path(name)
+    assert isinstance(path, Path)
+    assert path.is_file() and path.read_bytes() == (DATA / name).read_bytes()
+    assert path == Path(gcrank.__file__).parent / "data" / name
+    assert path == Path(str(resources.files("gcrank").joinpath("data", name)))
+
+
+def test_bundled_data_path_loads_no_importlib_resources():
+    src = Path(gcrank.__file__).resolve().parents[1]
+    subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import gcrank, sys; assert gcrank.bundled_data_path('ising.json').is_file(); "
+         "assert 'importlib.resources' not in sys.modules"],
         env=dict(os.environ, PYTHONPATH=str(src)), check=True, timeout=60,
     )
 

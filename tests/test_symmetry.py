@@ -2,6 +2,7 @@ import itertools
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -430,6 +431,47 @@ class TestSymmetryFiles:
         sym.write_text(json.dumps({"mtc": inline, "generators": {"s": "(e m)"}}))
         mtc, gens = load_symmetry(sym)
         assert mtc.labels == toric_code.labels
+
+    # the symmetry file tmp/d/sym.json as a str, a Path, a bare name in the
+    # working directory, and a relative path with a directory
+    PATH_FORMS = ["str", "path", "bare", "relative"]
+
+    @staticmethod
+    def symmetry_file(form, ref, tmp_path, monkeypatch):
+        sym = tmp_path / "d" / "sym.json"
+        sym.parent.mkdir()
+        sym.write_text(json.dumps({"mtc": ref, "generators": {"s": "(e m)"}}))
+        if form in ("bare", "relative"):
+            monkeypatch.chdir(sym.parent if form == "bare" else tmp_path)
+        return {"str": str(sym), "path": sym, "bare": "sym.json",
+                "relative": "d/sym.json"}[form]
+
+    @pytest.mark.parametrize("ref", ["toric_code.json", "sub/toric_code.json"])
+    @pytest.mark.parametrize("form", PATH_FORMS)
+    def test_relative_reference_read_next_to_file(self, form, ref, tmp_path,
+                                                  monkeypatch, toric_code):
+        path = self.symmetry_file(form, ref, tmp_path, monkeypatch)
+        target = tmp_path / "d" / ref
+        target.parent.mkdir(exist_ok=True)
+        target.write_bytes(gcrank.bundled_data_path("toric_code.json").read_bytes())
+        mtc, gens = load_symmetry(path)
+        assert mtc.labels == toric_code.labels and mtc.fusion == toric_code.fusion
+        assert gens == {"s": parse_generator(toric_code, "(e m)")}
+
+    @pytest.mark.parametrize("ref", ["missing.json", "sub/missing.json"])
+    @pytest.mark.parametrize("form", PATH_FORMS)
+    def test_missing_reference_names_joined_path(self, form, ref, tmp_path,
+                                                 monkeypatch, capsys):
+        # the path in the error is the file's directory joined with the
+        # reference, as pathlib's ``Path(path).parent / ref`` writes it
+        path = self.symmetry_file(form, ref, tmp_path, monkeypatch)
+        expected = str(Path(path).parent / ref)
+        with pytest.raises(FileNotFoundError) as exc:
+            load_symmetry(path)
+        assert exc.value.filename == expected
+        assert cli.main(["rank", "--sym", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: {expected!r}\n")
 
     def test_bad_generator_fixture(self):
         mtc, gens = load_symmetry(fixture_path("bad_generator.json"))
