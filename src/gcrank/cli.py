@@ -15,7 +15,7 @@ import sys
 from json.encoder import encode_basestring
 
 from . import perms, rank, symmetry, wreath
-from .errors import GcrankError, ParseError
+from .errors import GcrankError, GroupTooLarge, ParseError
 from .mtc import load_mtc, validate_mtc
 from .perms import DEFAULT_GROUP_CAP
 
@@ -192,6 +192,8 @@ def cmd_wreath(args) -> int:
     if args.closed_form:
         if kind != "z":
             raise ParseError("--closed-form applies only to --group z<n>")
+        if n > args.cap:  # |Z_n| = n, under the same cap as a closed group
+            raise GroupTooLarge(args.cap, n)
         total = wreath.rank_wreath_cyclic(rk, n)
     elif kind == "s":
         total, rows = wreath.rank_wreath_symmetric(rk, n, sep)

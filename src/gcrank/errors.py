@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all gcrank modules."""
+"""Exception hierarchy shared by all gcrank modules: one class per exit
+code, plus the errors that carry data or mark a bug."""
 
 
 class GcrankError(Exception):
@@ -9,19 +10,13 @@ class GcrankError(Exception):
 
 
 class UsageError(GcrankError):
-    """Malformed input or an argument out of range: exit status 2."""
+    """An argument out of range or of the wrong degree: exit status 2."""
 
     exit_code = 2
 
 
-# -- permutation / group errors -------------------------------------------
-
-class InvalidDegree(GcrankError):
-    pass
-
-
-class DegreeMismatch(UsageError):
-    pass
+class ParseError(UsageError):
+    """Malformed input (a data file, a spec, options): exit status 2."""
 
 
 class GroupTooLarge(GcrankError):
@@ -30,30 +25,6 @@ class GroupTooLarge(GcrankError):
         self.cap = cap
         self.order = order
 
-
-# -- data file errors ------------------------------------------------------
-
-class ParseError(UsageError):
-    pass
-
-
-class UnknownLabel(ParseError):
-    pass
-
-
-class DuplicateLabel(ParseError):
-    pass
-
-
-class InvalidRational(ParseError):
-    pass
-
-
-class DualityViolation(GcrankError):
-    pass
-
-
-# -- symmetry errors -------------------------------------------------------
 
 class NotAnAutomorphism(GcrankError):
     def __init__(self, name, report):
@@ -70,13 +41,3 @@ class InconsistencyError(GcrankError):
 
     Signals a bug in this package, never bad input data.
     """
-
-
-# -- wreath / numeric range errors ----------------------------------------
-
-class OutOfRange(UsageError):
-    pass
-
-
-class TooLarge(UsageError):
-    pass

@@ -41,13 +41,7 @@ from collections import namedtuple
 from itertools import chain
 from operator import itemgetter, mul
 
-from .errors import (
-    DualityViolation,
-    DuplicateLabel,
-    InvalidRational,
-    ParseError,
-    UnknownLabel,
-)
+from .errors import GcrankError, ParseError
 
 
 class ModularData:
@@ -91,11 +85,11 @@ class ModularData:
 
 
 def find_label(positions: dict[str, int], label) -> int:
-    """``positions[label]``; UnknownLabel for a label not in it, or not hashable."""
+    """``positions[label]``; ParseError for a label not in it, or not hashable."""
     try:
         return positions[label]
     except (KeyError, TypeError):
-        raise UnknownLabel(f"unknown label {label!r}") from None
+        raise ParseError(f"unknown label {label!r}") from None
 
 
 class Violation(namedtuple("Violation", "rule indices message")):
@@ -121,7 +115,7 @@ def derive_duals(
     duals = []
     for x, ys in enumerate(map(sorted, candidates)):
         if len(ys) != 1 or fusion[(x, ys[0], unit)] != 1:
-            raise DualityViolation(
+            raise GcrankError(
                 f"label {labels[x]!r} has no unique dual: "
                 f"candidates {[labels[y] for y in ys]}"
             )
@@ -168,7 +162,7 @@ def mtc_from_doc(doc) -> ModularData:
         raise ParseError('"labels" must be an array of strings')
     if len(set(labels)) != len(labels):
         dupes = sorted({l for l in labels if labels.count(l) > 1})
-        raise DuplicateLabel(f"duplicate labels: {dupes}")
+        raise ParseError(f"duplicate labels: {dupes}")
     index = {l: i for i, l in enumerate(labels)}
     unit = find_label(index, doc["unit"])
 
@@ -192,7 +186,7 @@ def mtc_from_doc(doc) -> ModularData:
         missing = sorted(set(labels) - set(twists_doc))
         extra = sorted(set(twists_doc) - set(labels))
         if extra:
-            raise UnknownLabel(f"twists reference unknown labels {extra}")
+            raise ParseError(f"twists reference unknown labels {extra}")
         raise ParseError(f"twists missing for labels {missing}")
     reduced = []  # each twist mod 1 in lowest terms, denominator > 0
     for label in labels:
@@ -202,7 +196,7 @@ def mtc_from_doc(doc) -> ModularData:
             raise ParseError(f"twist of {label!r} must be [numerator, denominator]")
         num, den = pair
         if den == 0:
-            raise InvalidRational(f"twist of {label!r} has denominator 0")
+            raise ParseError(f"twist of {label!r} has denominator 0")
         if den < 0:
             num, den = -num, -den
         num %= den

@@ -18,12 +18,11 @@ from itertools import repeat
 from operator import floordiv, itemgetter, mod
 
 from .errors import (
-    DegreeMismatch,
     GcrankError,
     GroupTooLarge,
     InconsistencyError,
-    InvalidDegree,
     ParseError,
+    UsageError,
 )
 
 DEFAULT_GROUP_CAP = 10**6
@@ -248,12 +247,12 @@ def generate_group(
     independent routes to |G|.
     """
     if degree < 1:
-        raise InvalidDegree(f"degree must be >= 1, got {degree}")
+        raise UsageError(f"degree must be >= 1, got {degree}")
     for name, g in generators.items():
         if type(g) is not tuple or any(type(x) is not int for x in g):
             raise GcrankError(f"images {g!r} are not a tuple of ints")
         if len(g) != degree:
-            raise DegreeMismatch(
+            raise UsageError(
                 f"generator {name!r} has degree {len(g)}, expected {degree}"
             )
         if sorted(g) != list(range(degree)):

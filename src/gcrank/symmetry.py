@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 
 from . import perms
-from .errors import DegreeMismatch, NotAnAutomorphism, ParseError
+from .errors import NotAnAutomorphism, ParseError, UsageError
 from .mtc import ModularData, ValidationReport, Violation
 from .mtc import decode_json, load_mtc, mtc_from_doc, read_data_file
 from .perms import DEFAULT_GROUP_CAP, FiniteGroup
@@ -27,7 +27,7 @@ def validate_automorphism(m: ModularData, g: tuple[int, ...]) -> ValidationRepor
     Fusion is compared as one dict, N against N moved by g; only when the two
     differ are the entries walked, in file order, to list violations."""
     if len(g) != m.rank:
-        raise DegreeMismatch(
+        raise UsageError(
             f"permutation degree {len(g)} != number of labels {m.rank}"
         )
     violations: list[Violation] = []

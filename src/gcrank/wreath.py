@@ -15,7 +15,7 @@ import re
 from collections import Counter, namedtuple
 
 from . import perms
-from .errors import InconsistencyError, OutOfRange, ParseError, TooLarge
+from .errors import InconsistencyError, ParseError, UsageError
 from .perms import DEFAULT_GROUP_CAP, FiniteGroup
 
 PARTITION_CAP = 60
@@ -27,7 +27,7 @@ SEP = ",\n        "
 
 def _check_degree(n: int) -> None:
     if not 1 <= n <= PARTITION_CAP:
-        raise OutOfRange(f"n must be in 1..{PARTITION_CAP}, got {n}")
+        raise UsageError(f"n must be in 1..{PARTITION_CAP}, got {n}")
 
 
 def partitions(n: int, sep: str = SEP) -> list[tuple[int, int, str, str]]:
@@ -130,7 +130,7 @@ def rank_wreath_cyclic(rk: int, n: int) -> int:
     """Necklace closed form for C wr Z_n: sum_{k<n} rk^gcd(k, n) (Polya
     1937), each gcd counted once; rk^n + (n-1) rk for prime n."""
     if n < 1:
-        raise OutOfRange(f"degree must be >= 1, got {n}")
+        raise UsageError(f"degree must be >= 1, got {n}")
     gcds = Counter(math.gcd(k, n) for k in range(n))
     return sum(count * rk**d for d, count in gcds.items())
 
@@ -173,7 +173,7 @@ def brute_force_wreath_rank(rk: int, group: FiniteGroup) -> int:
     n = group.degree
     count = rk**n
     if count > BRUTE_FORCE_CAP:
-        raise TooLarge(f"rk^n = {count} exceeds cap {BRUTE_FORCE_CAP}")
+        raise UsageError(f"rk^n = {count} exceeds cap {BRUTE_FORCE_CAP}")
     # with n == 1 an itemgetter returns a bare entry, not a 1-tuple, so the
     # moved tuple is compared with ``same(t)``, never with t itself
     same = operator.itemgetter(*range(n))
@@ -205,7 +205,7 @@ def preset_generators(spec: str, degree: int) -> dict[str, tuple[int, ...]]:
     """Named generator sets for "s<k>", "a<k>", "z<k>" (k <= degree, acting
     on the first k points), or explicit comma-separated cycle notation."""
     if degree < 1:
-        raise OutOfRange(f"degree must be >= 1, got {degree}")
+        raise UsageError(f"degree must be >= 1, got {degree}")
     preset = parse_preset(spec, degree)
     if preset:
         kind, k = preset

@@ -17,7 +17,6 @@ from gcrank.errors import (
     GroupTooLarge,
     NotAnAutomorphism,
     ParseError,
-    UnknownLabel,
 )
 from gcrank.perms import generate_group
 from gcrank.symmetry import build_symmetry
@@ -173,7 +172,7 @@ def test_criterion_7_performance():
 def test_criterion_8_robustness(capsys, ising):
     with pytest.raises(ParseError):
         gcrank.load_mtc(fixture_path("bad_json.json"))
-    with pytest.raises(UnknownLabel):
+    with pytest.raises(ParseError, match="^unknown label 'x'$"):
         gcrank.load_mtc(fixture_path("unknown_label.json"))
     broken = gcrank.load_mtc(fixture_path("non_associative.json"))
     report = gcrank.validate_mtc(broken)

@@ -39,12 +39,40 @@ def test_merge_lays_two_lines_side_by_side(bench_record):
         "metrics": {
             "job_wall_s.p50": {"unit": "s",
                                "values": {"parent": [0.025], "change": [0.010]},
-                               "median": {"parent": 0.025, "change": 0.010}},
+                               "median": {"parent": 0.025, "change": 0.010},
+                               "quartiles": {"parent": [0.025, 0.025],
+                                             "change": [0.010, 0.010]},
+                               "lower": {"parent": 0, "change": 1}},
             "wreath.partitions.types": {"unit": "count",
                                         "values": {"parent": [88000], "change": [88000]},
-                                        "median": {"parent": 88000, "change": 88000}},
+                                        "median": {"parent": 88000, "change": 88000},
+                                        "quartiles": {"parent": [88000, 88000],
+                                                      "change": [88000, 88000]},
+                                        "lower": {"parent": 0, "change": 0}},
         },
     }}}
+
+
+def test_merge_counts_lower_seeds_and_quartiles(bench_record):
+    """Four alternating pairs, one of them a tie: each label is lower on the
+    seeds where it reads strictly less, and the tie counts for neither."""
+    runs = []
+    for i, (seed, parent, change) in enumerate(((5, 0.04, 0.03), (6, 0.02, 0.02),
+                                                (7, 0.03, 0.05), (8, 0.05, 0.06))):
+        pair = [("parent", parent), ("change", change)]
+        for label, p50 in pair if i % 2 == 0 else pair[::-1]:
+            runs.append((label, "wreath-cycle-types", 0, seed, result_line(True, 0, p50, 7)))
+    block = bench_record.merge(runs)["wreath-cycle-types"]["trace 0"]
+    assert block["seeds"] == {"parent": [5, 6, 7, 8], "change": [5, 6, 7, 8]}
+    row = block["metrics"]["job_wall_s.p50"]
+    assert row["values"] == {"parent": [0.04, 0.02, 0.03, 0.05],
+                             "change": [0.03, 0.02, 0.05, 0.06]}
+    # an even count: the median and quartiles fall between order statistics
+    assert row["median"] == {"parent": pytest.approx(0.035), "change": pytest.approx(0.04)}
+    assert row["quartiles"] == {"parent": [pytest.approx(0.0275), pytest.approx(0.0425)],
+                                "change": [pytest.approx(0.0275), pytest.approx(0.0525)]}
+    assert row["lower"] == {"parent": 2, "change": 1}
+    assert block["metrics"]["wreath.partitions.types"]["lower"] == {"parent": 0, "change": 0}
 
 
 def test_merge_keeps_seed_order_and_takes_medians(bench_record):
@@ -55,6 +83,8 @@ def test_merge_keeps_seed_order_and_takes_medians(bench_record):
     row = block["metrics"]["job_wall_s.p50"]
     assert row["values"] == {"change": [0.05, 0.01, 0.03]}
     assert row["median"] == {"change": 0.03}
+    assert row["quartiles"] == {"change": [pytest.approx(0.02), pytest.approx(0.04)]}
+    assert "lower" not in row  # one checkout: nothing to compare
 
 
 def test_run_once_starts_from_source(bench_record, tmp_path, monkeypatch):

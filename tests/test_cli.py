@@ -286,6 +286,12 @@ class TestWreath:
         assert code == 0
         assert out == "rank of C wr Z_1 at rk(C) = 7: 7\n"
 
+    def test_closed_form_at_the_cap(self, capsys):
+        argv = ("wreath", "--rk", "3", "--n", "12", "--group", "z12", "--closed-form")
+        at_cap = run(capsys, *argv, "--cap", "12")  # |Z_12| = 12 is within the cap
+        assert at_cap == run(capsys, *argv) == (
+            0, "rank of C wr Z_12 at rk(C) = 3: 532416\n", "")
+
     def test_totals_print_past_the_int_digit_limit(self, capsys):
         # 3^9013 has 4,301 digits, one past the default int->str limit
         limit = int_digit_limit()
@@ -446,12 +452,8 @@ def test_missing_sym_is_usage_error(capsys, subcommand, json_flag):
 # The documented exit code of every error class: 2 for usage and parse
 # errors, 1 for domain failures.
 EXIT_CODES = {
-    "GcrankError": 1, "UsageError": 2,
-    "InvalidDegree": 1, "DegreeMismatch": 2, "GroupTooLarge": 1,
-    "ParseError": 2, "UnknownLabel": 2,
-    "DuplicateLabel": 2, "InvalidRational": 2, "DualityViolation": 1,
-    "NotAnAutomorphism": 1, "InconsistencyError": 1, "OutOfRange": 2,
-    "TooLarge": 2,
+    "GcrankError": 1, "UsageError": 2, "ParseError": 2,
+    "GroupTooLarge": 1, "NotAnAutomorphism": 1, "InconsistencyError": 1,
 }
 ERROR_CLASSES = [
     cls for _, cls in inspect.getmembers(errors, inspect.isclass)

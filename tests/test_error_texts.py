@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import gcrank
-from gcrank import errors, perms, rank
+from gcrank import errors, perms, rank, wreath
 from gcrank.cli import main
 from gcrank.mtc import ValidationReport, Violation
 from gcrank.perms import generate_group
@@ -45,6 +45,14 @@ CLI_CASES = {
     "closed-form-negative-degree": (
         ["wreath", "--rk", "3", "--n", "-1", "--group", "z-1", "--closed-form"], None, 2,
         "error: degree must be >= 1, got -1\n"),
+    # |Z_n| = n is held to --cap as a closed group's order is, before the sum
+    "closed-form-past-cap": (
+        ["wreath", "--rk", "3", "--n", "12", "--group", "z12", "--closed-form",
+         "--cap", "11"], None, 1,
+        "error: group order 12 exceeds cap of 11 elements\n"),
+    "closed-form-past-default-cap": (
+        ["wreath", "--rk", "3", "--n", "1000001", "--group", "z1000001", "--closed-form"],
+        None, 1, "error: group order 1000001 exceeds cap of 1000000 elements\n"),
     "preset-negative-degree": (
         ["wreath", "--rk", "3", "--n", "3", "--group", "s-1"], None, 2,
         "error: group 's-1' does not fit degree 3\n"),
@@ -111,7 +119,7 @@ def test_cli_error_text(capsys, tmp_path, name):
 
 LIBRARY_CASES = {
     # the group on no points, whose one element would be the empty permutation
-    "empty-permutation": (lambda: generate_group(0, {}), errors.InvalidDegree,
+    "empty-permutation": (lambda: generate_group(0, {}), errors.UsageError,
                           "degree must be >= 1, got 0"),
     "non-bijective-permutation": (lambda: generate_group(2, {"g": (0, 0)}),
                                   errors.GcrankError, "images (0, 0) are not a bijection"),
@@ -138,6 +146,19 @@ def test_library_error_text(name):
         call()
     assert type(info.value) is cls
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call", [
+    lambda: generate_group(0, {}),
+    lambda: wreath.preset_generators("z1", 0),
+    lambda: wreath.rank_wreath_cyclic(3, 0),
+], ids=["generate_group", "preset_generators", "rank_wreath_cyclic"])
+def test_degree_zero_is_one_usage_error(call):
+    """One text, one class, one exit code at every degree check."""
+    with pytest.raises(errors.GcrankError) as info:
+        call()
+    assert type(info.value) is errors.UsageError
+    assert (str(info.value), info.value.exit_code) == ("degree must be >= 1, got 0", 2)
 
 
 # An integer literal longer than the interpreter's int->str digit limit

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import gcrank
 from gcrank import cli, mtc, perms, symmetry, wreath
-from gcrank.errors import DegreeMismatch, NotAnAutomorphism, ParseError
+from gcrank.errors import NotAnAutomorphism, ParseError, UsageError
 from gcrank.mtc import ModularData, Violation
 from gcrank.perms import format_cycles
 from gcrank.symmetry import (
@@ -237,7 +237,7 @@ class TestValidateAutomorphism:
             assert validate_automorphism(m, identity(m.rank)).ok
 
     def test_degree_mismatch(self, ising):
-        with pytest.raises(DegreeMismatch):
+        with pytest.raises(UsageError, match="^permutation degree 5 != number of labels 3$"):
             validate_automorphism(ising, identity(5))
 
     @pytest.mark.parametrize("case", range(len(AUTOMORPHISM_CASES)))

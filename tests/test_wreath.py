@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gcrank import perms, rank, wreath
 from gcrank.cli import main
-from gcrank.errors import OutOfRange, TooLarge
+from gcrank.errors import UsageError
 from gcrank.perms import parse_cycles
 from gcrank.wreath import (
     brute_force_wreath_rank,
@@ -124,7 +124,7 @@ class TestPartitions:
 
     def test_out_of_range(self):
         for n in (0, -1, 61):
-            with pytest.raises(OutOfRange):
+            with pytest.raises(UsageError, match=f"^n must be in 1..60, got {n}$"):
                 partitions(n)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 20])
@@ -262,7 +262,7 @@ class TestRankPolynomial:
 
     def test_out_of_range(self):
         for n in (0, -1, 61):
-            with pytest.raises(OutOfRange):
+            with pytest.raises(UsageError, match=f"^n must be in 1..60, got {n}$"):
                 rank_polynomial_symmetric(n)
 
     @pytest.mark.parametrize("n", [1, 3, 7, 15])
@@ -328,7 +328,7 @@ class TestCyclicNecklace:
 
     @pytest.mark.parametrize("n", [0, -1, -7])
     def test_degree_below_one(self, n):
-        with pytest.raises(OutOfRange, match=f"^degree must be >= 1, got {n}$"):
+        with pytest.raises(UsageError, match=f"^degree must be >= 1, got {n}$"):
             rank_wreath_cyclic(3, n)
 
 
@@ -379,7 +379,7 @@ class TestBruteForce:
             assert brute_force_wreath_rank(1, group) == group.order
 
     def test_cap_enforced(self):
-        with pytest.raises(TooLarge):
+        with pytest.raises(UsageError, match="^rk\\^n = 100000000 exceeds cap 10000000$"):
             brute_force_wreath_rank(10, preset_group("z2", 8))
 
     def test_burnside_form(self):
