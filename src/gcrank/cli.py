@@ -176,14 +176,9 @@ def _write_wreath_json(total: int, rows, rk: int, n: int, spec: str, order: int,
 
 
 def cmd_wreath(args) -> int:
-    if (args.rk is None) == (args.mtc is None):
-        raise ParseError("exactly one of --rk and --mtc is required")
-    if args.rk is not None:
-        rk = args.rk
-        if rk < 0:
-            raise ParseError("--rk must be non-negative")
-    else:
-        rk = load_mtc(args.mtc).rank
+    rk = args.rk
+    if rk < 0:
+        raise ParseError("--rk must be non-negative")
     n = args.n
     spec = args.group.strip().lower()
     preset = wreath.parse_preset(spec, n)
@@ -263,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p, sym=False):
-        p.add_argument("--mtc", help="path to an MTC data file")
         if sym:
+            p.add_argument("--mtc", help="path to an MTC data file")
             p.add_argument("--sym", required=True, help="path to a symmetry file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--cap", type=positive_int, default=DEFAULT_GROUP_CAP,
@@ -285,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wreath", help="rank of the permutation extension C wr G")
     common(p)
-    p.add_argument("--rk", type=int, help="base rank rk(C)")
+    p.add_argument("--rk", type=int, required=True, help="base rank rk(C)")
     p.add_argument("--n", type=int, required=True, help="degree of the action")
     p.add_argument("--group", required=True,
                    help='"s<n>", "a<n>", "z<n>", or cycle-notation generators')

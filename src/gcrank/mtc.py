@@ -44,38 +44,17 @@ from operator import itemgetter, mul
 from .errors import GcrankError, ParseError
 
 
-class ModularData:
+class ModularData(namedtuple(
+        "ModularData", "name labels unit fusion dual twists twist_denominator")):
     """A fusion ring with duals and twists, the twists as integers over
-    ``twist_denominator`` (see the module docstring).  Equality is identity.
+    ``twist_denominator`` (see the module docstring).  Equal by value; not
+    hashable, since ``fusion`` is a dict."""
 
-    ``index`` is the label -> position dict, built here unless the caller
-    (the parser) already has it; it is not a field."""
-
-    __slots__ = ("name", "labels", "unit", "fusion", "dual", "twists",
-                 "twist_denominator", "_index")
-
-    def __init__(self, name: str, labels: tuple[str, ...], unit: int,
-                 fusion: dict[tuple[int, int, int], int], dual: tuple[int, ...],
-                 twists: tuple[int, ...], twist_denominator: int, index=None):
-        self.name, self.labels, self.unit, self.fusion = name, labels, unit, fusion
-        self.dual, self.twists, self.twist_denominator = dual, twists, twist_denominator
-        self._index = {label: i for i, label in enumerate(labels)} if index is None else index
-
-    def _replace(self, **changes) -> ModularData:
-        """A copy with the named fields changed, as for a named tuple."""
-        fields = {name: getattr(self, name) for name in self.__slots__ if name != "_index"}
-        return ModularData(**{**fields, **changes})
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
         return len(self.labels)
-
-    def n(self, x: int, y: int, z: int) -> int:
-        """Fusion coefficient N_{xy}^z; absent triples are 0."""
-        return self.fusion.get((x, y, z), 0)
-
-    def label_index(self, label: str) -> int:
-        return find_label(self._index, label)
 
     def twist_text(self, x: int) -> str:
         """t_x/N in lowest terms, as ``str(Fraction)`` writes it: "0" or "n/d"."""
@@ -220,7 +199,6 @@ def mtc_from_doc(doc) -> ModularData:
         dual=dual,
         twists=tuple(num * (denominator // den) for num, den in reduced),
         twist_denominator=denominator,
-        index=index,
     )
 
 

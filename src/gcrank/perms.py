@@ -69,8 +69,8 @@ def parse_cycles(text: str, degree: int, point=None) -> tuple[int, ...]:
     of a permutation of the given degree; the empty string is the identity.
 
     Without ``point``, tokens are 1-indexed integers.  ``point`` maps a
-    token to its 0-indexed point instead, e.g. ``ModularData.label_index``
-    for ``"(e m)"``, and raises ParseError for a token it does not know.
+    token to its 0-indexed point instead, e.g. a label's position for
+    ``"(e m)"``, and raises ParseError for a token it does not know.
     """
     stripped = text.strip()
     # one way to split each whitespace run, so a malformed text fails in linear time

@@ -16,7 +16,7 @@ import os
 from . import perms
 from .errors import NotAnAutomorphism, ParseError, UsageError
 from .mtc import ModularData, ValidationReport, Violation
-from .mtc import decode_json, load_mtc, mtc_from_doc, read_data_file
+from .mtc import decode_json, find_label, load_mtc, mtc_from_doc, read_data_file
 from .perms import DEFAULT_GROUP_CAP, FiniteGroup
 
 
@@ -63,20 +63,22 @@ def validate_automorphism(m: ModularData, g: tuple[int, ...]) -> ValidationRepor
         # the preimage of an e with N(g^-1 e) = moved[e] != N(e); no other
         # entry's walk can report one, so it is skipped
         ginv = perms.inverse(g)
+        coefficient = m.fusion.get
         seen: set[tuple[int, int, int]] = set()
         for (x, y, z), n in m.fusion.items():
-            if m.n(g[x], g[y], g[z]) == n == moved.get((x, y, z), 0):
+            if coefficient((g[x], g[y], g[z]), 0) == n == moved.get((x, y, z), 0):
                 continue
             for a, b, c in ((x, y, z), (ginv[x], ginv[y], ginv[z])):
                 if (a, b, c) in seen:
                     continue
                 seen.add((a, b, c))
-                if m.n(g[a], g[b], g[c]) == m.n(a, b, c):
+                before, after = coefficient((a, b, c), 0), coefficient((g[a], g[b], g[c]), 0)
+                if after == before:
                     continue
                 violations.append(Violation(
                     "fusion", (a, b, c),
-                    f"N_{{{lab[a]},{lab[b]}}}^{lab[c]} = {m.n(a, b, c)} but "
-                    f"N_{{{lab[g[a]]},{lab[g[b]]}}}^{lab[g[c]]} = {m.n(g[a], g[b], g[c])}",
+                    f"N_{{{lab[a]},{lab[b]}}}^{lab[c]} = {before} but "
+                    f"N_{{{lab[g[a]]},{lab[g[b]]}}}^{lab[g[c]]} = {after}",
                 ))
 
     return ValidationReport(tuple(violations))
@@ -101,14 +103,15 @@ def build_symmetry(
 def parse_generator(m: ModularData, spec) -> tuple[int, ...]:
     """A generator is either a list of image labels (in declaration order)
     or a cycle-notation string over labels, e.g. ``"(e m)"``."""
+    positions = {label: i for i, label in enumerate(m.labels)}
     if isinstance(spec, str):
-        return perms.parse_cycles(spec, m.rank, m.label_index)
+        return perms.parse_cycles(spec, m.rank, lambda label: find_label(positions, label))
     if isinstance(spec, list):
         if len(spec) != m.rank:
             raise ParseError(
                 f"generator image list has {len(spec)} entries, expected {m.rank}"
             )
-        images = tuple(m.label_index(l) for l in spec)
+        images = tuple(find_label(positions, l) for l in spec)
         if len(set(images)) != len(images):
             raise ParseError(f"generator image list {spec!r} repeats a label")
         return images
@@ -132,8 +135,10 @@ def load_symmetry(
         ref = doc["mtc"]
         if isinstance(ref, str):
             mtc = load_mtc(os.path.join(os.path.dirname(path), ref))
-        else:
+        elif isinstance(ref, dict):
             mtc = mtc_from_doc(ref)
+        else:
+            raise ParseError('"mtc" must be a path or an MTC object')
     generators = {
         name: parse_generator(mtc, spec) for name, spec in doc["generators"].items()
     }

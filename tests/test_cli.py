@@ -259,14 +259,6 @@ class TestWreath:
         assert code == 0
         assert "total rank:  360" in out
 
-    def test_rank_from_mtc_file(self, capsys):
-        code, out, _ = run(
-            capsys, "wreath", "--mtc", FIB, "--n", "3", "--group", "z3",
-            "--closed-form",
-        )
-        assert code == 0
-        assert "12" in out
-
     def test_closed_form_composite(self, capsys):
         # necklace sum 3^4 + 3^1 + 3^2 + 3^1, as the Z_4 closure gives
         code, out, _ = run(
@@ -319,10 +311,15 @@ class TestWreath:
             assert out.endswith(f"\ntotal rank:  {total}\n")
 
     def test_rk_and_mtc_both_rejected(self, capsys):
-        code, _, _ = run(
-            capsys, "wreath", "--rk", "2", "--mtc", FIB, "--n", "2", "--group", "z2"
-        )
-        assert code == 2
+        # wreath takes its base rank from --rk alone: --mtc is not an option
+        # of wreath, and --rk is required
+        for argv, option in ((["--rk", "2", "--mtc", FIB], "--mtc"), ([], "--rk")):
+            with pytest.raises(SystemExit) as exc_info:
+                main(["wreath", *argv, "--n", "2", "--group", "z2"])
+            assert exc_info.value.code == 2
+            out, err = capsys.readouterr()
+            assert option in err
+            assert out == ""
 
     def test_explicit_generators(self, capsys):
         code, out, _ = run(

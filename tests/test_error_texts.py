@@ -92,6 +92,12 @@ CLI_CASES = {
     "symmetry-without-mtc": (
         ["rank", "--sym"], {"generators": {}}, 2,
         'error: symmetry file has no "mtc" field and none was supplied\n'),
+    # "mtc" is a path or an inline document; any other value is named as
+    # the fault, not the file, which is an object
+    **{f"symmetry-mtc-{name}": (
+        ["rank", "--sym"], {"mtc": ref, "generators": {}}, 2,
+        'error: "mtc" must be a path or an MTC object\n')
+       for name, ref in {"number": 5, "list": [FIB]}.items()},
     # a NUL byte in a symmetry file's path, read as an MTC path is; validate
     # reads the symmetry file before it prints the MTC's verdict, in text
     # mode as under --json

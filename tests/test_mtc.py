@@ -31,10 +31,11 @@ def brute_force_associativity(m):
     randomized evaluation order; same computation, independent coding."""
     quads = list(itertools.product(range(m.rank), repeat=4))
     random.Random(7).shuffle(quads)
+    N = m.fusion.get
     bad = []
     for x, y, z, u in quads:
-        lhs = sum(m.n(x, y, w) * m.n(w, z, u) for w in range(m.rank))
-        rhs = sum(m.n(y, z, w) * m.n(x, w, u) for w in range(m.rank))
+        lhs = sum(N((x, y, w), 0) * N((w, z, u), 0) for w in range(m.rank))
+        rhs = sum(N((y, z, w), 0) * N((x, w, u), 0) for w in range(m.rank))
         if lhs != rhs:
             bad.append((x, y, z, u))
     return bad
@@ -281,6 +282,27 @@ def _outcome(build):
         return type(exc), str(exc)
 
 
+class TestRecord:
+    """ModularData is a named tuple: its fields are all of its state."""
+
+    def test_fields(self):
+        assert ModularData._fields == (
+            "name", "labels", "unit", "fusion", "dual", "twists", "twist_denominator")
+
+    def test_fields_cannot_be_assigned(self):
+        m = _bundled("fibonacci")  # not the shared fixture, in case the assignment succeeds
+        with pytest.raises(AttributeError):
+            m.labels = ("1", "t")
+        assert m.labels == ("1", "tau")
+
+    def test_equal_by_value(self):
+        source = gcrank.bundled_data_path("ising.json").read_bytes()
+        first, second = parse_mtc(source), parse_mtc(source)
+        assert first is not second
+        assert first == second
+        assert first != first._replace(name="other")
+
+
 class TestParse:
     @given(fusion_documents())
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -303,16 +325,16 @@ class TestParse:
         assert fibonacci.labels == ("1", "tau")
         assert fibonacci.rank == 2
         assert (fibonacci.twists, fibonacci.twist_denominator) == ((0, 2), 5)
-        tau = fibonacci.label_index("tau")
-        assert fibonacci.n(tau, tau, fibonacci.unit) == 1
-        assert fibonacci.n(tau, tau, tau) == 1
+        tau = fibonacci.labels.index("tau")
+        assert fibonacci.fusion.get((tau, tau, fibonacci.unit), 0) == 1
+        assert fibonacci.fusion.get((tau, tau, tau), 0) == 1
 
     def test_toric_code(self, toric_code):
         assert toric_code.rank == 4
         assert toric_code.dual == (0, 1, 2, 3)
         assert toric_code.twists == (0, 0, 0, 1)
         assert toric_code.twist_denominator == 2
-        assert toric_code.twist_text(toric_code.label_index("f")) == "1/2"
+        assert toric_code.twist_text(toric_code.labels.index("f")) == "1/2"
 
     def test_bad_json(self):
         with pytest.raises(ParseError):

@@ -52,17 +52,18 @@ def reference_automorphism(m, g):
                 f"twist({lab[g[x]]!r}) = {Fraction(m.twists[g[x]], m.twist_denominator)}",
             ))
     ginv = perms.inverse(g)
+    N = m.fusion.get
     seen = set()
     for (x, y, z) in m.fusion:
         for (a, b, c) in ((x, y, z), (ginv[x], ginv[y], ginv[z])):
             if (a, b, c) in seen:
                 continue
             seen.add((a, b, c))
-            if m.n(g[a], g[b], g[c]) != m.n(a, b, c):
+            if N((g[a], g[b], g[c]), 0) != N((a, b, c), 0):
                 violations.append(Violation(
                     "fusion", (a, b, c),
-                    f"N_{{{lab[a]},{lab[b]}}}^{lab[c]} = {m.n(a, b, c)} but "
-                    f"N_{{{lab[g[a]]},{lab[g[b]]}}}^{lab[g[c]]} = {m.n(g[a], g[b], g[c])}",
+                    f"N_{{{lab[a]},{lab[b]}}}^{lab[c]} = {N((a, b, c), 0)} but "
+                    f"N_{{{lab[g[a]]},{lab[g[b]]}}}^{lab[g[c]]} = {N((g[a], g[b], g[c]), 0)}",
                 ))
     return violations
 
@@ -87,7 +88,7 @@ def _power_automorphisms(name, n, first_factor=None):
 def _doubled(m, automorphisms, entry):
     """m with the fusion entry at the given labels doubled: the automorphisms
     of m that move it keep the support of N but not its values."""
-    key = tuple(map(m.label_index, entry))
+    key = tuple(map(m.labels.index, entry))
     doubled = m._replace(fusion={**m.fusion, key: 2 * m.fusion[key]})
     return doubled, automorphisms
 
@@ -212,9 +213,9 @@ class TestValidateAutomorphism:
     def test_exhaustive_fusion_check(self, toric_code):
         # the swap preserves every one of the 64 fusion triples
         swap = parse_generator(toric_code, "(e m)")
-        g = swap
+        g, N = swap, toric_code.fusion.get
         for x, y, z in itertools.product(range(4), repeat=3):
-            assert toric_code.n(g[x], g[y], g[z]) == toric_code.n(x, y, z)
+            assert N((g[x], g[y], g[z]), 0) == N((x, y, z), 0)
 
     def test_ising_unit_swap_fails(self, ising):
         p = parse_generator(ising, "(1 psi)")
@@ -416,6 +417,13 @@ class TestSymmetryFiles:
     def test_generator_as_image_list(self, toric_code):
         p = parse_generator(toric_code, ["1", "m", "e", "f"])
         assert p == parse_generator(toric_code, "(e m)")
+
+    def test_generator_resolves_replaced_labels(self, toric_code):
+        renamed = toric_code._replace(labels=("1", "a", "b", "c"))
+        assert parse_generator(renamed, "(a b)") == parse_generator(toric_code, "(e m)")
+        assert parse_generator(renamed, ["1", "b", "a", "c"]) == (0, 2, 1, 3)
+        with pytest.raises(ParseError, match="^unknown label 'e'$"):
+            parse_generator(renamed, "(e m)")
 
     def test_generator_unknown_label(self, toric_code):
         with pytest.raises(ParseError):

@@ -452,7 +452,7 @@ class TestMaterializedPower:
         every field and fusion entry combines the factors' as stated."""
         m = request.getfixturevalue(base)
         power = reference_materialize_power(m, n)
-        factors = [tuple(map(m.label_index, label.split("*"))) for label in power.labels]
+        factors = [tuple(map(m.labels.index, label.split("*"))) for label in power.labels]
         assert power.name == f"{m.name}^{n}"
         assert factors == list(itertools.product(range(m.rank), repeat=n))
         assert factors[power.unit] == (m.unit,) * n

@@ -125,8 +125,9 @@ def test_explicit_generators(degree_and_spec, rk):
 
 
 def test_mtc_route():
-    for path in (ISING, FIB):
-        rk = gcrank.load_mtc(path).rank
+    # the ranks of the bundled files, given to wreath as --rk
+    for path, rk in ((ISING, 3), (FIB, 2)):
+        assert gcrank.load_mtc(path).rank == rk
         for n, group in ((4, "s4"), (5, "a5"), (6, "z6"), (4, "(1 2),(3 4)")):
-            got = cli_stdout("--mtc", path, "--n", str(n), "--group", group)
+            got = cli_stdout("--rk", str(rk), "--n", str(n), "--group", group)
             assert got == expected_stdout(rk, n, group)
