@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
-from itertools import repeat
-from operator import floordiv, itemgetter, mod
+from itertools import compress, repeat
+from operator import floordiv, itemgetter, mod, ne
 
 from .errors import (
     GcrankError,
@@ -145,89 +145,51 @@ class FiniteGroup(namedtuple("FiniteGroup", "degree elements generators right pa
 
 
 def group_order(degree: int, generators) -> int:
-    """|<generators>| by deterministic Schreier-Sims, without closure.
+    """|<generators>| by Knuth's Sims table, without closure.
 
-    Builds a base and strong generating set (Sims 1970; Seress,
-    *Permutation Group Algorithms*, 2003, sec. 4.2): level i holds the
-    generators known to fix the first i base points and a transversal of
-    the orbit of base point i under them.  Every Schreier generator of
-    every level is sifted through the levels below it; a non-trivial
-    residue becomes a new strong generator.  |G| is the product of the
-    orbit lengths.  ``generators`` is an iterable of image tuples.
+    Knuth, "Efficient representation of perm groups", *Combinatorica* 11
+    (1991).  The base is every point some generator moves, in increasing
+    order; the group fixes every other point.  Level k holds the generators
+    found for G_k, the pointwise stabilizer of ``base[:k]``, and ``reps[k]``,
+    which maps each point j of the orbit of ``base[k]`` to (u, u^-1) with u
+    in G_k sending ``base[k]`` to j.  One work list pairs every generator of
+    a level with every representative exactly once: a product that reaches
+    a new orbit point becomes its representative, any other is a Schreier
+    generator of the next level, kept as a generator there unless it sifts
+    to the identity.  |G| is the product of the orbit lengths.
+    ``generators`` is an iterable of image tuples.
     """
     ident = tuple(range(degree))
-    base: list[int] = []
-    strong: list[list[tuple[int, ...]]] = []
-    # per level: orbit point -> (u, u^-1) with u sending the base point there
-    trans: list[dict[int, tuple[tuple[int, ...], tuple[int, ...]]]] = []
-    # per level: (point, generator index) pairs whose Schreier generator
-    # sifts to the identity; transversals only grow, so this stays true
-    checked: list[set[tuple[int, int]]] = []
-
-    def new_level(h: tuple[int, ...]) -> None:
-        point = next(x for x in range(degree) if h[x] != x)
-        base.append(point)
-        strong.append([])
-        trans.append({point: (ident, ident)})
-        checked.append(set())
-
-    def add(level: int, h: tuple[int, ...]) -> None:
-        strong[level].append(h)
-        t = trans[level]
-        frontier = list(t)
-        for pt in frontier:
-            u = t[pt][0]
-            for s in strong[level]:
-                if s[pt] not in t:
-                    su = itemgetter(*u)(s)
-                    t[s[pt]] = (su, inverse(su))
-                    frontier.append(s[pt])
-
-    def sift(h: tuple[int, ...], level: int) -> tuple[tuple[int, ...], int]:
-        for i in range(level, len(base)):
-            entry = trans[i].get(h[base[i]])
-            if entry is None:
-                return h, i
-            h = itemgetter(*h)(entry[1])
-        return h, len(base)
-
-    def first_residue(i: int) -> tuple[tuple[int, ...], int] | None:
-        """A Schreier generator of level i that does not sift, as its residue
-        and the level where sifting stopped."""
-        for pt, (u, _) in trans[i].items():
-            for k, s in enumerate(strong[i]):
-                if (pt, k) in checked[i]:
-                    continue
-                # u_{s(pt)}^-1 s u_pt fixes base[:i + 1]
-                uinv = trans[i][s[pt]][1]
-                residue, j = sift(itemgetter(*itemgetter(*u)(s))(uinv), i + 1)
-                if residue != ident:
-                    return residue, j
-                checked[i].add((pt, k))
-        return None
-
-    gens = [g for g in dict.fromkeys(generators) if g != ident]
-    for g in gens:
-        if all(g[b] == b for b in base):
-            new_level(g)
-    for i in range(len(base)):
-        for g in gens:
-            if all(g[b] == b for b in base[:i]):
-                add(i, g)
-
-    i = len(base) - 1
-    while i >= 0:
-        found = first_residue(i)
-        if found is None:
-            i -= 1
-            continue
-        residue, j = found
-        if j == len(base):
-            new_level(residue)
-        for level in range(i + 1, j + 1):
-            add(level, residue)
-        i = j
-    return math.prod(len(t) for t in trans)
+    # (level, permutation, is it a generator for that level?)
+    todo = [(0, g, True) for g in generators]
+    base = sorted(set().union(*[compress(ident, map(ne, g, ident)) for _, g, _ in todo]))
+    reps = [{b: (ident, ident)} for b in base]
+    gens: list[list[tuple[int, ...]]] = [[] for _ in base]
+    while todo:
+        k, p, is_generator = todo.pop()
+        if is_generator:
+            h = p
+            for i in range(k, len(base)):
+                b = base[i]
+                if h[b] != b:
+                    entry = reps[i].get(h[b])
+                    if entry is None:
+                        break
+                    h = itemgetter(*h)(entry[1])
+            else:
+                continue  # p sifts to the identity: it is in G_k already
+            # kept at level k, not where its sift stopped: p∘u may reach new points
+            gens[k].append(p)
+            todo.extend((k, itemgetter(*u)(p), False) for u, _ in reps[k].values())
+        else:
+            t = reps[k]
+            j = p[base[k]]
+            if j not in t:
+                t[j] = (p, inverse(p))
+                todo.extend((k, itemgetter(*p)(g), False) for g in gens[k])
+            else:  # u_j^-1 p fixes base[:k + 1]
+                todo.append((k + 1, itemgetter(*p)(t[j][1]), True))
+    return math.prod(map(len, reps))
 
 
 def generate_group(

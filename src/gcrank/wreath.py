@@ -19,6 +19,7 @@ from .errors import InconsistencyError, ParseError, UsageError
 from .perms import DEFAULT_GROUP_CAP, FiniteGroup
 
 PARTITION_CAP = 60
+DEGREE_CAP = 10**6
 BRUTE_FORCE_CAP = 10**7
 # between two entries of a cycle type: the array separator of
 # json.dumps(indent=2) at the depth of "cycle_type" in ``wreath --json``
@@ -203,9 +204,12 @@ def parse_preset(spec: str, degree: int) -> tuple[str, int | None] | None:
 
 def preset_generators(spec: str, degree: int) -> dict[str, tuple[int, ...]]:
     """Named generator sets for "s<k>", "a<k>", "z<k>" (k <= degree, acting
-    on the first k points), or explicit comma-separated cycle notation."""
+    on the first k points), or explicit comma-separated cycle notation, on
+    at most DEGREE_CAP points."""
     if degree < 1:
         raise UsageError(f"degree must be >= 1, got {degree}")
+    if degree > DEGREE_CAP:
+        raise UsageError(f"degree must be <= {DEGREE_CAP}, got {degree}")
     preset = parse_preset(spec, degree)
     if preset:
         kind, k = preset

@@ -8,6 +8,7 @@ which of two faults is reported first, fails here.
 """
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -53,6 +54,18 @@ CLI_CASES = {
     "closed-form-past-default-cap": (
         ["wreath", "--rk", "3", "--n", "1000001", "--group", "z1000001", "--closed-form"],
         None, 1, "error: group order 1000001 exceeds cap of 1000000 elements\n"),
+    # explicit groups act on at most DEGREE_CAP points, checked before any is built
+    "cycles-degree-past-cap": (
+        ["wreath", "--rk", "2", "--n", "1000001", "--group", "(1 2)"], None, 2,
+        "error: degree must be <= 1000000, got 1000001\n"),
+    "preset-degree-past-cap": (
+        ["wreath", "--rk", "2", "--n", "1000000000000", "--group", "z3"], None, 2,
+        "error: degree must be <= 1000000, got 1000000000000\n"),
+    # A_60 and S_60 on 61 points: orders known without closure, refused at the default cap
+    **{f"{kind}60-past-default-cap": (
+        ["wreath", "--rk", "2", "--n", "61", "--group", f"{kind}60"], None, 1,
+        f"error: group order {order} exceeds cap of 1000000 elements\n")
+       for kind, order in (("a", math.factorial(60) // 2), ("s", math.factorial(60)))},
     "preset-negative-degree": (
         ["wreath", "--rk", "3", "--n", "3", "--group", "s-1"], None, 2,
         "error: group 's-1' does not fit degree 3\n"),
@@ -165,6 +178,14 @@ def test_degree_zero_is_one_usage_error(call):
         call()
     assert type(info.value) is errors.UsageError
     assert (str(info.value), info.value.exit_code) == ("degree must be >= 1, got 0", 2)
+
+
+def test_degree_cap_is_the_last_degree_accepted():
+    (g,) = wreath.preset_generators("(1 2)", wreath.DEGREE_CAP).values()
+    assert len(g) == wreath.DEGREE_CAP
+    with pytest.raises(errors.UsageError) as info:
+        wreath.preset_generators("(1 2)", wreath.DEGREE_CAP + 1)
+    assert str(info.value) == "degree must be <= 1000000, got 1000001"
 
 
 # An integer literal longer than the interpreter's int->str digit limit

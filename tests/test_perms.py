@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import re
 import subprocess
@@ -23,6 +24,7 @@ from gcrank.perms import (
     fixed_points,
     format_cycles,
     generate_group,
+    group_order,
     inverse,
     orbits,
     parse_cycles,
@@ -62,6 +64,8 @@ NAMED_GROUPS = [
     ("A_5 x S_3", 8, ["(1 2 3)", "(1 2 3 4 5)", "(6 7)", "(6 7 8)"]),
     ("S_4 x S_4", 8, ["(1 2)", "(1 2 3 4)", "(5 6)", "(5 6 7 8)"]),
     ("trivial on 1 point", 1, ["()"]),
+    # (2 3) fixes the first base point, 1, but must still extend its orbit
+    ("S_3 from (2 3) and (1 2)", 3, ["(2 3)", "(1 2)"]),
 ]
 
 
@@ -320,6 +324,46 @@ class TestGenerateGroup:
         a = generate_group(5, named, cap=10**4)
         b = generate_group(5, reversed_named, cap=10**4)
         assert set(a.elements) == set(b.elements)
+
+
+def factor_generators(kind, points):
+    """Cycle-notation generators of S_k, A_k, Z_k or D_k on the k given points."""
+    k = len(points)
+    if kind == "s":
+        return [cycle(points[:2]), cycle(points)]
+    if kind == "a":
+        return [cycle(points[:3]), cycle(points if k % 2 else points[1:])]
+    if kind == "z":
+        return [cycle(points)]
+    return [cycle(points), "".join(cycle((points[i], points[k - i])) for i in range(1, k) if i < k - i)]
+
+
+FACTOR_ORDER = {"s": math.factorial, "a": lambda k: math.factorial(k) // 2,
+                "z": lambda k: k, "d": lambda k: 2 * k}
+
+
+class TestGroupOrder:
+    """Orders past any closure, against the closed-form factor orders."""
+
+    # factors on 3-9 points each, at most 45 points in all, and up to 10
+    # more points that every factor fixes
+    @given(st.lists(st.tuples(st.sampled_from("sazd"), st.integers(3, 9)), min_size=1, max_size=5),
+           st.integers(0, 10), st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_products_on_scattered_supports(self, factors, extra, data):
+        degree = sum(k for _, k in factors) + extra
+        points = data.draw(st.permutations(range(1, degree + 1)))
+        texts = []
+        for kind, k in factors:
+            texts += factor_generators(kind, points[:k])
+            points = points[k:]
+        gens = [parse_cycles(t, degree) for t in data.draw(st.permutations(texts))]
+        assert group_order(degree, gens) == math.prod(FACTOR_ORDER[kind](k) for kind, k in factors)
+
+    def test_base_is_the_moved_points(self):
+        """A transposition of the last two of 100,000 points: a base of the
+        two moved points, not one that walks the 99,998 points it fixes."""
+        assert group_order(100_000, [parse_cycles("(99999 100000)", 100_000)]) == 2
 
 
 class TestConjugacyClasses:
