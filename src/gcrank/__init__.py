@@ -2,7 +2,7 @@
 categories from finite combinatorial data."""
 
 from .errors import GcrankError
-from .mtc import ModularData, ValidationReport, load_mtc, parse_mtc, serialize_mtc, validate_mtc
+from .mtc import ModularData, ValidationReport, load_mtc, parse_mtc, validate_mtc
 from .perms import (
     FiniteGroup,
     conjugacy_classes,

@@ -30,56 +30,43 @@ def _load_symmetry(args):
     return mtc.labels, symmetry.build_symmetry(mtc, generators, cap=args.cap)
 
 
-def _print_violations(title: str, report) -> None:
+def _print_report(title: str, report, ok_text: str) -> None:
+    if report.ok:
+        print(f"{title}: {ok_text}")
+        return
     print(f"{title}: FAIL ({len(report.violations)} violation(s))")
     for v in report.violations:
         print(f"  [{v.rule}] {v.message}")
 
 
-def _violations_json(report):
-    return [
+def _report_json(report) -> dict:
+    return {"ok": report.ok, "violations": [
         {"rule": v.rule, "indices": list(v.indices), "message": v.message}
-        for v in report.violations
-    ]
+        for v in report.violations]}
 
 
 def cmd_validate(args) -> int:
     mtc = load_mtc(args.mtc)
     # read --sym before any output, so that a bad file leaves stdout empty
-    generators = symmetry.load_symmetry(args.sym, mtc=mtc)[1] if args.sym else None
+    generators = symmetry.load_symmetry(args.sym, mtc=mtc)[1] if args.sym else {}
     report = validate_mtc(mtc)
-    ok = report.ok
-    doc = {
-        "mtc": {"name": mtc.name, "ok": report.ok,
-                "violations": _violations_json(report)},
-    }
-    if not args.json:
-        if report.ok:
-            print(f"{mtc.name}: ok ({mtc.rank} labels)")
-        else:
-            _print_violations(mtc.name, report)
-    if args.sym:
-        doc["generators"] = {}
-        for name, p in generators.items():
-            gen_report = symmetry.validate_automorphism(mtc, p)
-            doc["generators"][name] = {
-                "ok": gen_report.ok,
-                "violations": _violations_json(gen_report),
-            }
-            if not gen_report.ok:
-                ok = False
-            if not args.json:
-                if gen_report.ok:
-                    print(f"generator {name}: ok")
-                else:
-                    _print_violations(f"generator {name}", gen_report)
-        if ok:
-            order = perms.group_order(mtc.rank, generators.values())
-            doc["group_order"] = order
-            if not args.json:
-                print(f"symmetry group order: {order}")
+    gen_reports = {name: symmetry.validate_automorphism(mtc, p)
+                   for name, p in generators.items()}
+    ok = report.ok and all(r.ok for r in gen_reports.values())
+    order = perms.group_order(mtc.rank, generators.values()) if args.sym and ok else None
     if args.json:
+        doc = {"mtc": {"name": mtc.name, **_report_json(report)}}
+        if args.sym:
+            doc["generators"] = {name: _report_json(r) for name, r in gen_reports.items()}
+        if order is not None:
+            doc["group_order"] = order
         _print_json(doc)
+    else:
+        _print_report(mtc.name, report, f"ok ({mtc.rank} labels)")
+        for name, r in gen_reports.items():
+            _print_report(f"generator {name}", r, "ok")
+        if order is not None:
+            print(f"symmetry group order: {order}")
     return 0 if ok else 1
 
 

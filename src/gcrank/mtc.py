@@ -1,9 +1,11 @@
 """Fusion-ring shadow of a modular tensor category: labels, fusion
 coefficients, duals, and twists, plus the JSON file format and validator.
 
-Only the data the rank formulas consume is modeled.  Quantum dimensions
-and S/T matrices are deliberately absent, so non-degeneracy of the
-braiding is an *unverified assumption* of every downstream computation.
+Only the data the rank formulas consume is modeled; quantum dimensions
+and S/T matrices are deliberately absent.  Non-degeneracy of the braiding
+is an assumption of every downstream computation that gcrank does not
+check, though it could: x is transparent exactly when t_z = t_x + t_y
+(mod N) on every support triple (x, y, z).
 
 Twists are integers over one denominator N: ``twists[x]`` is t_x with
 0 <= t_x < N and theta_x = exp(2*pi*i*t_x/N), where N is
@@ -213,28 +215,6 @@ def read_data_file(path: str | os.PathLike) -> bytes:
 
 def load_mtc(path: str | os.PathLike) -> ModularData:
     return parse_mtc(read_data_file(path))
-
-
-def serialize_mtc(m: ModularData) -> str:
-    """Canonical serialization: fixed key order, fusion sorted by labels."""
-    fusion_entries = sorted(
-        (
-            [m.labels[x], m.labels[y], m.labels[z], mult]
-            for (x, y, z), mult in m.fusion.items()
-        ),
-    )
-    doc = {
-        "name": m.name,
-        "labels": list(m.labels),
-        "unit": m.labels[m.unit],
-        "fusion": fusion_entries,
-        "twists": {},
-        "duals": {label: m.labels[m.dual[i]] for i, label in enumerate(m.labels)},
-    }
-    for i, label in enumerate(m.labels):
-        num, _, den = m.twist_text(i).partition("/")  # "0" is 0/1
-        doc["twists"][label] = [int(num), int(den or 1)]
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 def _product_table(m: ModularData) -> tuple:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -47,6 +48,17 @@ def reference_materialize_power(m, n):
     twists = tuple(sum(m.twists[i] for i in t) % m.twist_denominator for t in tuples)
     return ModularData(f"{m.name}^{n}", labels, unit, fusion, dual, twists,
                        m.twist_denominator)
+
+
+def mtc_json(m) -> str:
+    """An MTC file's text for ``m``: twists as [t_x, N], duals left to be
+    derived on load."""
+    lab = m.labels
+    return json.dumps({
+        "name": m.name, "labels": list(lab), "unit": lab[m.unit],
+        "fusion": [[lab[x], lab[y], lab[z], n] for (x, y, z), n in m.fusion.items()],
+        "twists": {l: [t, m.twist_denominator] for l, t in zip(lab, m.twists)},
+    })
 
 
 def reference_factor_permutation(m, n, sigma):

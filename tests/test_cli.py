@@ -14,9 +14,9 @@ import pytest
 import gcrank
 from gcrank import cli, errors, perms, symmetry, wreath
 from gcrank.cli import main
-from gcrank.mtc import serialize_mtc
 
-from conftest import fixture_path, reference_factor_permutation, reference_materialize_power
+from conftest import (fixture_path, mtc_json, reference_factor_permutation,
+                      reference_materialize_power)
 
 TORIC = str(gcrank.bundled_data_path("toric_code.json"))
 TORIC_SWAP = str(gcrank.bundled_data_path("toric_code_swap.json"))
@@ -189,7 +189,7 @@ class TestRank:
         # Fibonacci^5 under S_5: 120 elements, so one row per conjugacy class
         fib = gcrank.load_mtc(FIB)
         power = reference_materialize_power(fib, 5)
-        (tmp_path / "fib5.json").write_text(serialize_mtc(power))
+        (tmp_path / "fib5.json").write_text(mtc_json(power))
         generators = {
             name: [power.labels[i] for i in reference_factor_permutation(fib, 5, p)]
             for name, p in wreath.preset_generators("s5", 5).items()

@@ -19,7 +19,6 @@ from gcrank.mtc import (
     load_mtc,
     mtc_from_doc,
     parse_mtc,
-    serialize_mtc,
     validate_mtc,
 )
 
@@ -364,9 +363,8 @@ class TestParse:
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_integer_twists_equal_fraction_reading(self, pairs):
         """t_x/N is the former reading Fraction(num, den) % 1, N is the lcm of
-        those denominators, and messages and the serializer write the same
-        text and pair; denominator 0 is still a ParseError naming the first
-        such label."""
+        those denominators, and messages write the same text; denominator 0
+        is still a ParseError naming the first such label."""
         labels = [f"a{i}" for i in range(len(pairs))]
         doc = {"name": "twists", "labels": labels, "unit": "a0", "fusion": [],
                "twists": {l: list(pair) for l, pair in zip(labels, pairs)},
@@ -382,8 +380,6 @@ class TestParse:
         assert all(0 <= t < m.twist_denominator for t in m.twists)
         assert [Fraction(t, m.twist_denominator) for t in m.twists] == former
         assert [m.twist_text(x) for x in range(m.rank)] == list(map(str, former))
-        assert json.loads(serialize_mtc(m))["twists"] == {
-            l: [r.numerator, r.denominator] for l, r in zip(labels, former)}
 
     def test_missing_field(self):
         with pytest.raises(ParseError):
@@ -499,19 +495,3 @@ class TestDuals:
         for m in (fibonacci, ising, toric_code):
             assert all(m.dual[m.dual[x]] == x for x in range(m.rank))
 
-
-class TestSerialize:
-    def test_round_trip_all_fields(self, fibonacci, ising, toric_code):
-        for m in (fibonacci, ising, toric_code):
-            text = serialize_mtc(m)
-            back = parse_mtc(text)
-            assert validate_mtc(back).ok
-            assert back.labels == m.labels
-            assert back.unit == m.unit
-            assert back.fusion == m.fusion
-            assert back.dual == m.dual
-            assert back.twists == m.twists
-
-    def test_serialization_is_canonical(self, ising):
-        text = serialize_mtc(ising)
-        assert serialize_mtc(parse_mtc(text)) == text
