@@ -7,7 +7,6 @@ from .perms import (
     FiniteGroup,
     conjugacy_classes,
     cycle_decomposition,
-    fixed_points,
     format_cycles,
     generate_group,
     inverse,
@@ -17,7 +16,6 @@ from .perms import (
 from .rank import RankReport, rank_report
 from .symmetry import build_symmetry, load_symmetry, validate_automorphism
 from .wreath import (
-    RankPolynomial,
     brute_force_wreath_rank,
     cycle_type_of,
     partitions,

@@ -71,10 +71,7 @@ def cmd_validate(args) -> int:
 
 
 def _print_table(header: tuple[str, ...], rows) -> None:
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
-        for i in range(len(header))
-    ]
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     for r in rows:
         print("  ".join(c.ljust(w) for c, w in zip(r, widths)))
@@ -212,19 +209,15 @@ def cmd_wreath(args) -> int:
 
 
 def cmd_poly(args) -> int:
-    poly = wreath.rank_polynomial_symmetric(args.n)
+    coeffs = wreath.rank_polynomial_symmetric(args.n)
+    terms = [(k, coeffs[k]) for k in range(args.n, 0, -1)]  # every c(n, k) > 0 here
+    text = " + ".join(("" if c == 1 else str(c)) + ("x" if k == 1 else f"x^{k}")
+                      for k, c in terms)
     if args.json:
-        _print_json({
-            "n": args.n,
-            "text": str(poly),
-            "coefficients": [
-                [k, str(poly.coefficients[k])]
-                for k in range(poly.degree, 0, -1)
-                if poly.coefficients[k]
-            ],
-        })
+        _print_json({"n": args.n, "text": text,
+                     "coefficients": [[k, str(c)] for k, c in terms]})
     else:
-        print(poly)
+        print(text)
     return 0
 
 

@@ -35,10 +35,6 @@ def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def fixed_points(p: tuple[int, ...]) -> frozenset[int]:
-    return frozenset(i for i, im in enumerate(p) if im == i)
-
-
 def cycle_decomposition(p: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Cycles of p, fixed points included as 1-cycles.  Each cycle starts at
     its minimal point; cycles are sorted by that point.  Its own loop, not

@@ -9,6 +9,7 @@ asserted equal; a mismatch is a bug, never valid data.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import eq
 
 from . import perms
 from .errors import InconsistencyError
@@ -25,7 +26,7 @@ class RankReport(namedtuple("RankReport", "per_element orbits total_rank burnsid
 
 def rank_report(group: FiniteGroup) -> RankReport:
     """Per-element and total ranks, with the Burnside cross-check applied."""
-    per_element = tuple(len(perms.fixed_points(e)) for e in group.elements)
+    per_element = tuple(sum(map(eq, e, range(group.degree))) for e in group.elements)
     total = sum(per_element)
     orbit_list = tuple(perms.orbits(group))
     burnside = group.order * len(orbit_list)

@@ -12,7 +12,7 @@ import itertools
 import math
 import operator
 import re
-from collections import Counter, namedtuple
+from collections import Counter
 
 from . import perms
 from .errors import InconsistencyError, ParseError, UsageError
@@ -87,44 +87,15 @@ def cycle_type_of(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(a)
 
 
-class RankPolynomial(namedtuple("RankPolynomial", "coefficients")):
-    """Big-integer polynomial in the base rank; coefficients[k] is the
-    coefficient of x^k, with zero constant term."""
-
-    __slots__ = ()
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def evaluate(self, x: int) -> int:
-        result = 0
-        for c in reversed(self.coefficients):
-            result = result * x + c
-        return result
-
-    def __str__(self) -> str:
-        parts = []
-        for k in range(self.degree, 0, -1):
-            c = self.coefficients[k]
-            if c == 0:
-                continue
-            coeff = "" if c == 1 else f"{c}"
-            power = "x" if k == 1 else f"x^{k}"
-            parts.append(f"{coeff}{power}")
-        if self.coefficients[0]:
-            parts.append(str(self.coefficients[0]))
-        return " + ".join(parts) if parts else "0"
-
-
-def rank_polynomial_symmetric(n: int) -> RankPolynomial:
-    """Coefficient of x^k is the number of elements of S_n with k cycles,
-    the unsigned Stirling number c(n, k): c(m+1, k) = m c(m, k) + c(m, k-1)."""
+def rank_polynomial_symmetric(n: int) -> tuple[int, ...]:
+    """(c(n, 0), ..., c(n, n)): c(n, k), the coefficient of x^k in the rank
+    polynomial of S_n, counts its elements with k cycles, the unsigned Stirling
+    numbers c(m+1, k) = m c(m, k) + c(m, k-1); c(n, 0) = 0, the rest are > 0."""
     _check_degree(n)
     coeffs = [0, 1]
     for m in range(1, n):
         coeffs = [m * c + prev for c, prev in zip(coeffs + [0], [0] + coeffs)]
-    return RankPolynomial(tuple(coeffs))
+    return tuple(coeffs)
 
 
 def rank_wreath_cyclic(rk: int, n: int) -> int:

@@ -304,7 +304,8 @@ class TestWreath:
             *(["--json"] if as_json else []),
         )
         assert (code, int_digit_limit()) == (0, limit)
-        total = exact_text(gcrank.rank_polynomial_symmetric(12).evaluate(10**400))
+        coeffs = gcrank.rank_polynomial_symmetric(12)
+        total = exact_text(sum(c * 10**(400 * k) for k, c in enumerate(coeffs)))
         if as_json:
             assert json.loads(out)["total_rank"] == total
         else:

@@ -6,7 +6,8 @@ entry or one slot of it, a twist pair or one of its numbers, a ``duals``
 value, the ``generators`` object, one generator, or the ``"mtc"`` value.
 ``validate`` (with and without ``--sym``), ``rank`` and ``burnside`` then run
 on the files, with and without ``--json``: each returns 0, 1 or 2, and no
-exception leaves ``cli.main``.
+exception leaves ``cli.main``.  The same holds when one of the two files
+holds arbitrary bytes, or the valid file's bytes with a few spans replaced.
 """
 
 import contextlib
@@ -56,6 +57,33 @@ COMMANDS = [
 ]
 
 
+FILE_BYTES = {name: json.dumps(doc).encode() for name, doc in (("mtc", MTC), ("sym", SYM))}
+
+
+def mutations(valid: bytes):
+    """``valid`` with one to three spans of up to 8 bytes replaced by up to
+    8 arbitrary bytes, so bytes are flipped, dropped and inserted."""
+    edit = st.tuples(st.integers(0, len(valid)), st.integers(0, 8), st.binary(max_size=8))
+
+    def apply(edits):
+        data = valid
+        for start, length, new in edits:
+            data = data[:start] + new + data[start + length:]
+        return data
+
+    return st.lists(edit, min_size=1, max_size=3).map(apply)
+
+
+def assert_exit_codes(paths, case):
+    for command in COMMANDS:
+        argv = [arg.format(**paths) for arg in command]
+        for extra in ([], ["--json"]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv + extra)
+            assert code in (0, 1, 2), (case, argv + extra)
+
+
 @pytest.fixture(scope="module")
 def folder(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -80,10 +108,14 @@ def test_any_value_anywhere_exits_0_1_or_2(folder, target, value):
     paths = {name: folder / f"{name}.json" for name in docs}
     for name, doc in docs.items():
         paths[name].write_text(json.dumps(doc))
-    for command in COMMANDS:
-        argv = [arg.format(**paths) for arg in command]
-        for extra in ([], ["--json"]):
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                code = main(argv + extra)
-            assert code in (0, 1, 2), (target, value, argv + extra)
+    assert_exit_codes(paths, (target, value))
+
+
+@given(data=st.data(), name=st.sampled_from(sorted(FILE_BYTES)))
+@settings(max_examples=250, deadline=None, derandomize=True)
+def test_any_bytes_in_either_file_exit_0_1_or_2(folder, data, name):
+    content = data.draw(st.binary(max_size=64) | mutations(FILE_BYTES[name]))
+    paths = {other: folder / f"{other}.json" for other in FILE_BYTES}
+    for other, valid in FILE_BYTES.items():
+        paths[other].write_bytes(content if other == name else valid)
+    assert_exit_codes(paths, (name, content))

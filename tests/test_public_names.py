@@ -8,6 +8,10 @@ though a re-export there is an import, not a read), ``perfbench/*.py`` or
 ``tools/*.py``, or as a word in ``.github/workflows/*.yml``.  So API that only
 tests call fails here.  ``cli.cmd_*`` is exempt: ``main`` reaches each
 command through ``globals()``.
+
+A public method or property is a ``def`` in the body of such a class whose
+name does not start with "_".  It counts as read only when it occurs as an
+``ast.Attribute`` in those Python files.
 """
 
 import ast
@@ -32,14 +36,26 @@ def public_names(tree):
                     yield target.id
 
 
+def public_methods(tree):
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def read_attributes():
+    return {node.attr for path in READERS
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute)}
+
+
 def read_names():
-    names = set()
+    names = read_attributes()
     for path in READERS:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
     for path in (ROOT / ".github" / "workflows").glob("*.yml"):
         names.update(re.findall(r"\w+", path.read_text()))
     return names
@@ -56,4 +72,13 @@ def test_every_public_name_is_read_outside_tests(path):
     unread = [f"{path.name}:{name}" for name in public_names(tree)
               if not name.startswith("_") and name not in read
               and not (path.name == "cli.py" and name.startswith("cmd_"))]
+    assert unread == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_public_method_is_read_outside_tests(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = read_attributes()
+    unread = [f"{path.name}:{qualified}" for qualified, name in public_methods(tree)
+              if name not in read]
     assert unread == []
