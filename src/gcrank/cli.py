@@ -40,9 +40,7 @@ def _print_report(title: str, report, ok_text: str) -> None:
 
 
 def _report_json(report) -> dict:
-    return {"ok": report.ok, "violations": [
-        {"rule": v.rule, "indices": list(v.indices), "message": v.message}
-        for v in report.violations]}
+    return {"ok": report.ok, "violations": [v._asdict() for v in report.violations]}
 
 
 def cmd_validate(args) -> int:

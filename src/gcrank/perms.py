@@ -226,18 +226,16 @@ def generate_group(
     elements = [start]
     reached = [0]  # position in ``table`` where each element was first found
     table = []  # index of e_i∘g_k at position i·|S| + k
-    new_element, new_reach, record = elements.append, reached.append, table.append
-    setdefault = index.setdefault
     n = 1
     for e in elements:  # the list grows behind the loop: breadth-first order
         for by_g in times:
             prod = by_g(e)
-            j = setdefault(prod, n)
+            j = index.setdefault(prod, n)
             if j == n:
-                new_element(prod)
-                new_reach(len(table))
+                elements.append(prod)
+                reached.append(len(table))
                 n += 1
-            record(j)
+            table.append(j)
     if n != order:
         raise InconsistencyError(
             f"group closure has {n} elements but Schreier-Sims order is {order}")
@@ -274,9 +272,8 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassPartition:
     maps = []
     for r in right:
         left = [r[0]]  # g∘e_0 = e_0∘g
-        add = left.append
         for p, v in links:
-            add(right[v][left[p]])  # g∘e_i = (g∘e_p)∘g_v
+            left.append(right[v][left[p]])  # g∘e_i = (g∘e_p)∘g_v
         conj = [0] * order
         for a, b in zip(r, left):
             conj[a] = b

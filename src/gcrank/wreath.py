@@ -55,7 +55,6 @@ def partitions(n: int, sep: str = SEP) -> list[tuple[int, int, str, str]]:
     parts = [None] + [[(k**m * math.factorial(m), f"{k}^{m}", str(m))
                        for m in range(n // k + 1)] for k in range(1, n + 1)]
     rows = []
-    append = rows.append
 
     def walk(j: int, rest: int, denom: int, cycles: int, text: str, entries: str) -> None:
         # parts longer than j make up rest > j; text and entries end in a
@@ -66,14 +65,14 @@ def partitions(n: int, sep: str = SEP) -> list[tuple[int, int, str, str]]:
             table = parts[k]
             if not left:  # a_k = top leaves 0, and a_k = top - 1 leaves k
                 factor, part, digits = table[top]
-                append((fact_n // (denom * factor), cycles + top, f"{text}{part}",
-                        f"{before}{digits}{tails[n - k]}"))
+                rows.append((fact_n // (denom * factor), cycles + top,
+                             f"{text}{part}", f"{before}{digits}{tails[n - k]}"))
             for ak in range(top - 1 - (not left), 0, -1):  # leaves more than k
                 factor, part, digits = table[ak]
                 walk(k, rest - k * ak, denom * factor, cycles + ak, f"{text}{part} ",
                      f"{before}{digits}{sep}")
-        append((fact_n // (denom * rest), cycles + 1, f"{text}{rest}^1",
-                f"{entries}{zeros[rest - j - 1]}1{tails[n - rest]}"))
+        rows.append((fact_n // (denom * rest), cycles + 1, f"{text}{rest}^1",
+                     f"{entries}{zeros[rest - j - 1]}1{tails[n - rest]}"))
 
     walk(0, n, 1, 0, "", "")
     return rows
