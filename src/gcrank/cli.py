@@ -39,8 +39,34 @@ def _print_report(title: str, report, ok_text: str) -> None:
         print(f"  [{v.rule}] {v.message}")
 
 
-def _report_json(report) -> dict:
-    return {"ok": report.ok, "violations": [v._asdict() for v in report.violations]}
+def _report_members(report, pad: str) -> str:
+    """The "ok" and "violations" members of a report object as
+    ``json.dumps(indent=2, ensure_ascii=False)`` writes them at indent ``pad``;
+    every violation names at least one label index."""
+    if report.ok:
+        return f'{pad}"ok": true,\n{pad}"violations": []'
+    items = []
+    for v in report.violations:
+        indices = f",\n{pad}      ".join(map(str, v.indices))
+        items.append(f'{pad}  {{\n{pad}    "rule": {encode_basestring(v.rule)},'
+                     f'\n{pad}    "indices": [\n{pad}      {indices}\n{pad}    ],'
+                     f'\n{pad}    "message": {encode_basestring(v.message)}\n{pad}  }}')
+    return f'{pad}"ok": false,\n{pad}"violations": [\n' + ",\n".join(items) + f"\n{pad}]"
+
+
+def _write_validate_json(name: str, report, gen_reports, order) -> None:
+    """Write the bytes of ``json.dumps(doc, indent=2, ensure_ascii=False)`` for
+    the validate document: the MTC's report, the generators' reports unless
+    ``gen_reports`` is None, and ``group_order`` unless ``order`` is None."""
+    members = [f'  "mtc": {{\n    "name": {encode_basestring(name)},'
+               f'\n{_report_members(report, "    ")}\n  }}']
+    if gen_reports is not None:
+        gens = ",\n".join(f'    {encode_basestring(g)}: {{\n{_report_members(r, "      ")}\n    }}'
+                          for g, r in gen_reports.items())
+        members.append(f'  "generators": {{\n{gens}\n  }}' if gens else '  "generators": {}')
+    if order is not None:
+        members.append(f'  "group_order": {order}')
+    sys.stdout.write("{\n" + ",\n".join(members) + "\n}\n")
 
 
 def cmd_validate(args) -> int:
@@ -53,12 +79,7 @@ def cmd_validate(args) -> int:
     ok = report.ok and all(r.ok for r in gen_reports.values())
     order = perms.group_order(mtc.rank, generators.values()) if args.sym and ok else None
     if args.json:
-        doc = {"mtc": {"name": mtc.name, **_report_json(report)}}
-        if args.sym:
-            doc["generators"] = {name: _report_json(r) for name, r in gen_reports.items()}
-        if order is not None:
-            doc["group_order"] = order
-        _print_json(doc)
+        _write_validate_json(mtc.name, report, gen_reports if args.sym else None, order)
     else:
         _print_report(mtc.name, report, f"ok ({mtc.rank} labels)")
         for name, r in gen_reports.items():

@@ -213,8 +213,29 @@ def read_data_file(path: str | os.PathLike) -> bytes:
         raise ParseError(f"cannot read {str(path)!r}: {exc}") from None
 
 
+LOADED_FILES = 8  # parsed files load_mtc keeps, least recently used evicted first
+_loaded: dict[tuple[int, int], ModularData] = {}  # by (len, hash) of the bytes
+
+
 def load_mtc(path: str | os.PathLike) -> ModularData:
-    return parse_mtc(read_data_file(path))
+    """Read and parse an MTC file, parsing identical bytes once per process.
+
+    The file is read and its bytes hashed on every call, so an edited file
+    is parsed again; bytes equal to those of one of the ``LOADED_FILES``
+    files loaded most recently, from whatever path, reuse its ModularData,
+    so up to that many stay in memory.  Each call returns its own ``fusion`` dict (the
+    other fields are immutable).  A file that fails to parse is not kept and
+    raises on every call; ``parse_mtc`` and inline "mtc" objects of symmetry
+    files always parse."""
+    source = read_data_file(path)
+    key = len(source), hash(source)
+    m = _loaded.pop(key, None)
+    if m is None:
+        m = parse_mtc(source)
+        if len(_loaded) >= LOADED_FILES:
+            del _loaded[next(iter(_loaded))]
+    _loaded[key] = m
+    return m._replace(fusion=dict(m.fusion))
 
 
 def _product_table(m: ModularData) -> tuple:

@@ -7,13 +7,17 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gcrank
 from gcrank import cli, errors, perms, symmetry, wreath
 from gcrank.cli import main
+from gcrank.mtc import ValidationReport, Violation
 
 from conftest import (fixture_path, mtc_json, reference_factor_permutation,
                       reference_materialize_power)
@@ -135,6 +139,36 @@ class TestValidate:
         assert out.endswith("symmetry group order: 9999360\n")
         code, _, err = run(capsys, "rank", "--sym", str(sym_path))
         assert (code, err) == (1, "error: group order 9999360 exceeds cap of 1000000 elements\n")
+
+
+# quotes, backslashes, control characters and non-ASCII, and any other text
+texts = st.text(alphabet='"\\\x00\x1f\x7f\n\té€😀\u2028a') | st.text()
+indices = st.lists(st.integers(0, 10**6), min_size=1).map(tuple)
+reports = st.lists(st.builds(Violation, texts, indices, texts),
+                   max_size=3).map(lambda vs: ValidationReport(tuple(vs)))
+
+
+def report_doc(report) -> dict:
+    return {"ok": report.ok, "violations": [v._asdict() for v in report.violations]}
+
+
+@given(name=texts, report=reports,
+       gen_reports=st.none() | st.dictionaries(texts, reports, max_size=3),
+       order=st.none() | st.integers(1, 10**30))
+@example(name="", report=ValidationReport(), gen_reports={}, order=None)
+@settings(max_examples=200, deadline=None)
+def test_validate_json_text_equals_json_dumps(name, report, gen_reports, order):
+    """``validate --json`` writes the bytes ``json.dumps(indent=2,
+    ensure_ascii=False)`` writes for its document, with and without --sym
+    (``gen_reports`` None) and the group order."""
+    doc = {"mtc": {"name": name, **report_doc(report)}}
+    if gen_reports is not None:
+        doc["generators"] = {g: report_doc(r) for g, r in gen_reports.items()}
+    if order is not None:
+        doc["group_order"] = order
+    with contextlib.redirect_stdout(StringIO()) as out:
+        cli._write_validate_json(name, report, gen_reports, order)
+    assert out.getvalue() == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 class TestRank:

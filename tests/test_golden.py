@@ -19,7 +19,9 @@ labels have equal twists.  The ``rank`` and ``burnside`` text cases were recorde
 before the rank report lost its symmetry, class and JSON views and the CLI
 took over rendering ``rank``.  The ``validate --sym`` text cases were
 recorded before ``validate`` read the symmetry file ahead of printing the
-MTC's verdict.  To record the files again after an intended
+MTC's verdict.  The ``validate --json`` cases were recorded before that
+document was written directly instead of through ``json.dumps(indent=2)``,
+and before ``load_mtc`` kept parsed files.  To record the files again after an intended
 output change, run ``PYTHONPATH=src python tests/test_golden.py`` from the
 repository root and review the diff; it prints the digests to pin.
 """

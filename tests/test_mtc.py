@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gcrank
+from gcrank import mtc
+from gcrank.cli import main
 from gcrank.errors import GcrankError, ParseError
 from gcrank.mtc import (
     ModularData,
@@ -22,7 +24,7 @@ from gcrank.mtc import (
     validate_mtc,
 )
 
-from conftest import fixture_path, reference_materialize_power
+from conftest import fixture_path, mtc_json, reference_materialize_power
 
 
 def brute_force_associativity(m):
@@ -495,3 +497,98 @@ class TestDuals:
         for m in (fibonacci, ising, toric_code):
             assert all(m.dual[m.dual[x]] == x for x in range(m.rank))
 
+
+def doubled(m, entry):
+    """``m`` with the fusion coefficient at ``entry`` doubled."""
+    return m._replace(fusion={**m.fusion, entry: 2 * m.fusion[entry]})
+
+
+class TestLoadCache:
+    """load_mtc parses bytes equal to one of its last ``LOADED_FILES`` files once."""
+
+    @pytest.fixture(autouse=True)
+    def parsed(self, monkeypatch):
+        """A fresh cache, and the sources that reach ``mtc.parse_mtc``."""
+        sources, real = [], mtc.parse_mtc
+
+        def spy(source):
+            sources.append(source)
+            return real(source)
+
+        monkeypatch.setattr(mtc, "_loaded", {})
+        monkeypatch.setattr(mtc, "parse_mtc", spy)
+        return sources
+
+    def test_same_bytes_parsed_once_from_any_path(self, parsed, tmp_path, ising):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        first.write_text(mtc_json(ising))
+        second.write_bytes(first.read_bytes())
+        loads = [load_mtc(first), load_mtc(first), load_mtc(str(second))]
+        assert len(parsed) == 1
+        assert loads == [parse_mtc(first.read_bytes())] * 3
+
+    def test_rewritten_file_is_parsed_again(self, parsed, tmp_path, toric_code):
+        path = tmp_path / "t.json"
+        path.write_text(mtc_json(toric_code))
+        before = path.read_bytes()
+        assert load_mtc(path) == toric_code
+        edited = doubled(toric_code, (1, 2, 3))
+        path.write_text(mtc_json(edited))
+        after = path.read_bytes()
+        assert len(after) == len(before) and after != before
+        assert load_mtc(path) == edited
+        assert len(parsed) == 2
+
+    def test_returned_fusion_is_a_copy(self, parsed, tmp_path, toric_code):
+        path = tmp_path / "t.json"
+        path.write_text(mtc_json(toric_code))
+        load_mtc(path).fusion.clear()
+        second = load_mtc(path)
+        assert second == toric_code and second.fusion is not load_mtc(path).fusion
+        assert len(parsed) == 1
+
+    @pytest.mark.parametrize("name", ["bad_json.json", "unknown_label.json",
+                                      "duplicate_label.json", "zero_denominator.json"])
+    def test_malformed_file_raises_on_every_call(self, parsed, name):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as raised:
+                load_mtc(fixture_path(name))
+            texts.append(str(raised.value))
+        assert texts[0] == texts[1]
+        assert len(parsed) == 2 and mtc._loaded == {}
+
+    def test_least_recently_used_file_is_parsed_again(self, parsed, tmp_path, toric_code):
+        paths = []
+        for i in range(mtc.LOADED_FILES + 1):
+            paths.append(tmp_path / f"t{i}.json")
+            paths[-1].write_text(mtc_json(toric_code._replace(name=f"t{i}")))
+        for path in paths[:-1]:
+            load_mtc(path)
+        load_mtc(paths[0])  # reused: paths[1] is now the least recently used
+        load_mtc(paths[-1])  # one file too many: paths[1] is evicted
+        assert [load_mtc(p).name for p in (paths[0], paths[1])] == ["t0", "t1"]
+        names = [json.loads(source)["name"] for source in parsed]
+        assert names == [f"t{i}" for i in range(mtc.LOADED_FILES + 1)] + ["t1"]
+
+    def test_cli_repeats_are_byte_identical_and_see_edits(self, parsed, tmp_path,
+                                                           toric_code, capsys):
+        mtc_path, sym_path = tmp_path / "f.json", tmp_path / "s.json"
+        mtc_path.write_text(mtc_json(toric_code))
+        sym_path.write_text(json.dumps({"mtc": "f.json", "generators": {"swap": "(e m)"}}))
+        commands = [["validate", "--mtc", str(mtc_path), "--sym", str(sym_path), "--json"],
+                    ["rank", "--sym", str(sym_path), "--json"],
+                    ["burnside", "--sym", str(sym_path), "--json"]]
+        for argv in commands:
+            runs = []
+            for _ in range(2):
+                code = main(argv)
+                runs.append((code, *capsys.readouterr()))
+            assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][2] == ""
+        assert len(parsed) == 1
+
+        mtc_path.write_text(mtc_json(doubled(toric_code, (1, 2, 3))))
+        code = main(commands[0])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1 and doc["mtc"]["ok"] is False and doc["mtc"]["violations"]
+        assert len(parsed) == 2
