@@ -159,20 +159,21 @@ def _write_wreath_json(total: int, rows, rk: int, n: int, spec: str, order: int,
     ensure_ascii=False)`` for the wreath document.  ``rows`` are the rows of
     ``wreath.rank_wreath_*`` as returned with ``sep=wreath.SEP``, entries
     being the body of the ``cycle_type`` array, which opens on the same line
-    break and indent as SEP; an S_n row (representative None) shows its text
-    "1^2 3^1" instead, others their representative over ``names``.  n >= 1,
-    so no entries text is empty.  Nothing in a representative needs escaping."""
+    break and indent as SEP; an S_n row (cycles None) shows its text
+    "1^2 3^1" as representative, others their representative's cycles over
+    ``names``.  n >= 1, so no entries text is empty.  Nothing in a
+    representative needs escaping."""
     write = sys.stdout.write
     indent = wreath.SEP.lstrip(",")
     write(f'{{\n  "rk": "{rk}",\n  "n": {n},\n  "group": {encode_basestring(spec)},'
           f'\n  "group_order": {order},\n  "total_rank": "{total}",\n  "per_class": [')
     sep = "\n"
-    for entries, text, rep, size, cycles, contribution in rows:
-        if rep is not None:
-            text = perms.format_cycles(rep, names)
+    for entries, text, cycles, size, count, contribution in rows:
+        if cycles is not None:
+            text = perms.cycle_notation(cycles, names)
         write(f'{sep}    {{\n      "cycle_type": [{indent}{entries}'
               f'\n      ],\n      "representative": "{text}",'
-              f'\n      "class_size": "{size}",\n      "num_cycles": {cycles},'
+              f'\n      "class_size": "{size}",\n      "num_cycles": {count},'
               f'\n      "contribution": "{contribution}"\n    }}')
         sep = ",\n"
     write("\n  ]\n}\n")
@@ -216,8 +217,8 @@ def cmd_wreath(args) -> int:
         elif args.json:
             _write_wreath_json(total, rows, rk, n, spec, order, names)
         else:
-            rows = [(text, "-" if rep is None else perms.format_cycles(rep, names),
-                     str(size), str(c), str(x)) for _, text, rep, size, c, x in rows]
+            rows = [(text, "-" if cycles is None else perms.cycle_notation(cycles, names),
+                     str(size), str(c), str(x)) for _, text, cycles, size, c, x in rows]
             _print_table(("cycle type", "representative", "class size", "cycles",
                           "contribution"), rows)
             print(f"group order: {order}")

@@ -28,7 +28,8 @@ x: one big-integer sum per distinct vector and side.  A chunk's value is
 below 2^(rank B) <= 2^(8 c), so no carry crosses a chunk either.  The left
 side of a pair (x, y) is then the byte string of x⊗y's left sum, the right
 side the chunks x of the right sums of the y⊗z joined in z order, and the
-two are compared whole; only pairs that differ are decoded into slots.
+two are compared whole; only pairs that differ are decoded, and in them
+only the slots where the XOR of the two sides is nonzero.
 The unit laws and duality read the same vectors: unit⊗x and x⊗unit must
 both be 2^(B x), and N_xy^unit is the unit slot of x⊗y.
 Multiplicities are nonnegative; the file format admits positive ones only.
@@ -42,6 +43,7 @@ import os
 from collections import namedtuple
 from itertools import chain
 from operator import itemgetter, mul
+from types import MappingProxyType
 
 from .errors import GcrankError, ParseError
 
@@ -49,8 +51,10 @@ from .errors import GcrankError, ParseError
 class ModularData(namedtuple(
         "ModularData", "name labels unit fusion dual twists twist_denominator")):
     """A fusion ring with duals and twists, the twists as integers over
-    ``twist_denominator`` (see the module docstring).  Equal by value; not
-    hashable, since ``fusion`` is a dict."""
+    ``twist_denominator`` (see the module docstring).  Read-only when made
+    by ``mtc_from_doc``, whose ``fusion`` is a ``MappingProxyType``, so
+    ``load_mtc`` can share one object with its passing checks.  Equal by
+    value; not hashable, since ``fusion`` is a mapping."""
 
     __slots__ = ()
 
@@ -197,7 +201,7 @@ def mtc_from_doc(doc) -> ModularData:
         name=str(doc["name"]),
         labels=tuple(labels),
         unit=unit,
-        fusion=fusion,
+        fusion=MappingProxyType(fusion),
         dual=dual,
         twists=tuple(num * (denominator // den) for num, den in reduced),
         twist_denominator=denominator,
@@ -215,6 +219,7 @@ def read_data_file(path: str | os.PathLike) -> bytes:
 
 LOADED_FILES = 8  # parsed files load_mtc keeps, least recently used evicted first
 _loaded: dict[tuple[int, int], ModularData] = {}  # by (len, hash) of the bytes
+_passed: dict[int, set] = {}  # by id of a ModularData in _loaded: the checks it passed
 
 
 def load_mtc(path: str | os.PathLike) -> ModularData:
@@ -222,20 +227,34 @@ def load_mtc(path: str | os.PathLike) -> ModularData:
 
     The file is read and its bytes hashed on every call, so an edited file
     is parsed again; bytes equal to those of one of the ``LOADED_FILES``
-    files loaded most recently, from whatever path, reuse its ModularData,
-    so up to that many stay in memory.  Each call returns its own ``fusion`` dict (the
-    other fields are immutable).  A file that fails to parse is not kept and
-    raises on every call; ``parse_mtc`` and inline "mtc" objects of symmetry
-    files always parse."""
+    files loaded most recently, from whatever path, return that file's
+    shared, read-only ModularData, with its passing checks kept (see
+    ``checked``), so up to that many stay in memory.  A file that fails to
+    parse is not kept and raises on every call; ``parse_mtc`` and inline
+    "mtc" objects of symmetry files always parse."""
     source = read_data_file(path)
     key = len(source), hash(source)
     m = _loaded.pop(key, None)
     if m is None:
         m = parse_mtc(source)
         if len(_loaded) >= LOADED_FILES:
-            del _loaded[next(iter(_loaded))]
+            del _passed[id(_loaded.pop(next(iter(_loaded))))]
+        _passed[id(m)] = set()
     _loaded[key] = m
-    return m._replace(fusion=dict(m.fusion))
+    return m
+
+
+def checked(m: ModularData, key, check, *args) -> ValidationReport:
+    """``check(m, *args)``, unless m is held by ``load_mtc`` and passed it
+    before under ``key``.  Only such an m keeps its passing keys, until it
+    is evicted; a failing report is computed again on every call."""
+    passed = _passed.get(id(m))
+    if passed is not None and key in passed:
+        return ValidationReport()
+    report = check(m, *args)
+    if passed is not None and report.ok:
+        passed.add(key)
+    return report
 
 
 def _product_table(m: ModularData) -> tuple:
@@ -259,7 +278,13 @@ def _product_table(m: ModularData) -> tuple:
 
 
 def validate_mtc(m: ModularData) -> ValidationReport:
-    """Check every fusion-ring axiom; reports all violations, not the first."""
+    """Check every fusion-ring axiom; reports all violations, not the first.
+    A ModularData that ``load_mtc`` holds is not checked again once it
+    passed, while it stays there."""
+    return checked(m, None, _check_mtc)
+
+
+def _check_mtc(m: ModularData) -> ValidationReport:
     violations: list[Violation] = []
     rng = range(m.rank)
     lab = m.labels
@@ -312,15 +337,17 @@ def validate_mtc(m: ModularData) -> ValidationReport:
                     continue
                 l_vec = int.from_bytes(l_chunk, "little")
                 r_vec = int.from_bytes(r_chunk, "little")
-                for u in rng:
+                diff = l_vec ^ r_vec
+                while diff:  # pop the lowest slot u where the two sides differ
+                    u = ((diff & -diff).bit_length() - 1) // width
+                    diff &= ~(mask << width * u)
                     l = l_vec >> width * u & mask
                     r = r_vec >> width * u & mask
-                    if l != r:
-                        violations.append(Violation(
-                            "associativity", (x, y, z, u),
-                            f"(({lab[x]} {lab[y]}) {lab[z]} -> {lab[u]}) = {l} "
-                            f"but ({lab[x]} ({lab[y]} {lab[z]}) -> {lab[u]}) = {r}",
-                        ))
+                    violations.append(Violation(
+                        "associativity", (x, y, z, u),
+                        f"(({lab[x]} {lab[y]}) {lab[z]} -> {lab[u]}) = {l} "
+                        f"but ({lab[x]} ({lab[y]} {lab[z]}) -> {lab[u]}) = {r}",
+                    ))
 
     # duality: N_xy^unit is the unit slot of x⊗y; the row of these over y
     # must be one-hot at dual(x), and y is walked only when it is not

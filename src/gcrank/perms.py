@@ -107,11 +107,14 @@ def format_cycles(p: tuple[int, ...], names=None) -> str:
     """
     if names is None:
         names = point_names(len(p))
-    parts = [
-        "(" + " ".join(names[pt] for pt in cycle) + ")"
-        for cycle in cycle_decomposition(p)
-        if len(cycle) > 1
-    ]
+    return cycle_notation(cycle_decomposition(p), names)
+
+
+def cycle_notation(cycles, names) -> str:
+    """``format_cycles`` of the permutation whose ``cycle_decomposition`` is
+    ``cycles``, for a caller that has the decomposition already."""
+    parts = ["(" + " ".join(names[pt] for pt in cycle) + ")"
+             for cycle in cycles if len(cycle) > 1]
     return "".join(parts) if parts else "()"
 
 

@@ -16,7 +16,7 @@ import os
 from . import perms
 from .errors import NotAnAutomorphism, ParseError, UsageError
 from .mtc import ModularData, ValidationReport, Violation
-from .mtc import decode_json, find_label, load_mtc, mtc_from_doc, read_data_file
+from .mtc import checked, decode_json, find_label, load_mtc, mtc_from_doc, read_data_file
 from .perms import DEFAULT_GROUP_CAP, FiniteGroup
 
 
@@ -25,7 +25,13 @@ def validate_automorphism(m: ModularData, g: tuple[int, ...]) -> ValidationRepor
     to ``g[x]``), preserves the unit, duals, fusion coefficients, and twists.
 
     Fusion is compared as one dict, N against N moved by g; only when the two
-    differ are the entries walked, in file order, to list violations."""
+    differ are the entries walked, in file order, to list violations.  A
+    ModularData that ``load_mtc`` holds is not checked again with a g it
+    passed, while it stays there."""
+    return checked(m, tuple(g), _check_automorphism, g)
+
+
+def _check_automorphism(m: ModularData, g: tuple[int, ...]) -> ValidationReport:
     if len(g) != m.rank:
         raise UsageError(
             f"permutation degree {len(g)} != number of labels {m.rank}"

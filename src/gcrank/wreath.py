@@ -78,10 +78,11 @@ def partitions(n: int, sep: str = SEP) -> list[tuple[int, int, str, str]]:
     return rows
 
 
-def cycle_type_of(p: tuple[int, ...]) -> tuple[int, ...]:
-    """The cycle type a of p: a_j is the number of its j-cycles."""
-    a = [0] * len(p)
-    for cycle in perms.cycle_decomposition(p):
+def cycle_type_of(cycles: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The cycle type a of the permutation whose ``perms.cycle_decomposition``
+    (fixed points included) is ``cycles``: a_j is the number of its j-cycles."""
+    a = [0] * sum(map(len, cycles))
+    for cycle in cycles:
         a[len(cycle) - 1] += 1
     return tuple(a)
 
@@ -109,24 +110,25 @@ def rank_wreath_cyclic(rk: int, n: int) -> int:
 def rank_wreath_subgroup(rk: int, group: FiniteGroup,
                          sep: str = SEP) -> tuple[int, list[tuple]]:
     """Total rank of C wr G for an explicitly materialized G <= S_n, and one
-    row (entries, text, representative, class size, cycle count,
-    contribution) per conjugacy class; entries and text are the
-    representative's cycle type a as in ``partitions(n, sep)``.  rk^c is
-    computed once per cycle count c that occurs."""
+    row (entries, text, cycles, class size, cycle count, contribution) per
+    conjugacy class; cycles is the ``perms.cycle_decomposition`` of the
+    class's representative, and entries and text are its cycle type a as in
+    ``partitions(n, sep)``.  rk^c is computed once per cycle count c that
+    occurs."""
     power = functools.cache(rk.__pow__)
     rows = []
     for cls in perms.conjugacy_classes(group).classes:
-        rep = group.elements[cls[0]]
-        a = cycle_type_of(rep)
-        c = sum(a)
+        cycles = perms.cycle_decomposition(group.elements[cls[0]])
+        a = cycle_type_of(cycles)
+        c = len(cycles)
         text = " ".join(f"{j}^{a[j - 1]}" for j in itertools.compress(itertools.count(1), a))
-        rows.append((sep.join(map(str, a)), text, rep, len(cls), c, len(cls) * power(c)))
+        rows.append((sep.join(map(str, a)), text, cycles, len(cls), c, len(cls) * power(c)))
     return sum(map(operator.itemgetter(5), rows)), rows
 
 
 def rank_wreath_symmetric(rk: int, n: int, sep: str = SEP) -> tuple[int, list[tuple]]:
     """Total rank of C wr S_n and its rows, shaped as in
-    ``rank_wreath_subgroup`` with representative None, from the rows of
+    ``rank_wreath_subgroup`` with cycles None, from the rows of
     ``partitions(n, sep)``; S_n is never materialized.  InconsistencyError if
     the class sizes do not sum to n!, raised before any row is built."""
     classes = partitions(n, sep)

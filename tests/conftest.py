@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import gcrank
-from gcrank import symmetry, wreath
+from gcrank import mtc, symmetry, wreath
 from gcrank.mtc import ModularData
 from gcrank.wreath import preset_generators
 
@@ -87,6 +87,14 @@ def a_of(entries: str) -> tuple[int, ...]:
     """The cycle type a back from a row's entries text, its a_j joined by
     ``wreath.SEP``; a stray "," or other separator does not parse."""
     return tuple(map(int, entries.split(wreath.SEP)))
+
+
+@pytest.fixture(autouse=True)
+def fresh_load_cache(monkeypatch):
+    """Each test starts with an empty ``load_mtc`` cache, so no test sees the
+    files, or the passing checks, that an earlier one loaded."""
+    monkeypatch.setattr(mtc, "_loaded", {})
+    monkeypatch.setattr(mtc, "_passed", {})
 
 
 @pytest.fixture(scope="session")

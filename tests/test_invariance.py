@@ -28,7 +28,8 @@ from gcrank import symmetry
 from gcrank.cli import main
 from gcrank.errors import GcrankError
 from gcrank.mtc import ModularData, mtc_from_doc, validate_mtc
-from gcrank.perms import conjugacy_classes, generate_group, group_order, inverse, orbits
+from gcrank.perms import (conjugacy_classes, cycle_decomposition, generate_group, group_order,
+                          inverse, orbits)
 from gcrank.rank import rank_report
 from gcrank.wreath import cycle_type_of, rank_wreath_subgroup
 
@@ -47,7 +48,7 @@ def conjugate(g, sigma):
 
 def invariants(degree, gens):
     group = generate_group(degree, {f"g{i}": g for i, g in enumerate(gens)})
-    classes = Counter((len(cls), cycle_type_of(group.elements[cls[0]]))
+    classes = Counter((len(cls), cycle_type_of(cycle_decomposition(group.elements[cls[0]])))
                       for cls in conjugacy_classes(group).classes)
     return (group_order(degree, gens), group.order, classes,
             [rank_wreath_subgroup(rk, group)[0] for rk in (0, 1, 2, 5)],

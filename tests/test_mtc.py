@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gcrank
-from gcrank import mtc
+from gcrank import mtc, symmetry
 from gcrank.cli import main
 from gcrank.errors import GcrankError, ParseError
 from gcrank.mtc import (
@@ -508,14 +508,13 @@ class TestLoadCache:
 
     @pytest.fixture(autouse=True)
     def parsed(self, monkeypatch):
-        """A fresh cache, and the sources that reach ``mtc.parse_mtc``."""
+        """The sources that reach ``mtc.parse_mtc`` (the cache starts empty)."""
         sources, real = [], mtc.parse_mtc
 
         def spy(source):
             sources.append(source)
             return real(source)
 
-        monkeypatch.setattr(mtc, "_loaded", {})
         monkeypatch.setattr(mtc, "parse_mtc", spy)
         return sources
 
@@ -539,12 +538,23 @@ class TestLoadCache:
         assert load_mtc(path) == edited
         assert len(parsed) == 2
 
-    def test_returned_fusion_is_a_copy(self, parsed, tmp_path, toric_code):
+    def test_loaded_fusion_is_read_only(self, parsed, tmp_path, toric_code):
         path = tmp_path / "t.json"
         path.write_text(mtc_json(toric_code))
-        load_mtc(path).fusion.clear()
+        first = load_mtc(path)
+        fusion, key = first.fusion, (1, 2, 3)
+        with pytest.raises(TypeError):
+            fusion[key] = 2
+        with pytest.raises(TypeError):
+            del fusion[key]
+        assert not any(hasattr(fusion, name) for name in ("clear", "pop", "update"))
+        # nor do dict's own methods reach the dict behind the mapping
+        for name, args in [("__setitem__", (key, 2)), ("clear", ()), ("pop", (key,)),
+                           ("update", ({key: 2},))]:
+            with pytest.raises(TypeError):
+                getattr(dict, name)(fusion, *args)
         second = load_mtc(path)
-        assert second == toric_code and second.fusion is not load_mtc(path).fusion
+        assert second == toric_code and second is first and fusion[key] == 1
         assert len(parsed) == 1
 
     @pytest.mark.parametrize("name", ["bad_json.json", "unknown_label.json",
@@ -592,3 +602,96 @@ class TestLoadCache:
         doc = json.loads(capsys.readouterr().out)
         assert code == 1 and doc["mtc"]["ok"] is False and doc["mtc"]["violations"]
         assert len(parsed) == 2
+
+
+class TestVerdictMemo:
+    """A ModularData that load_mtc holds keeps its passing checks."""
+
+    @pytest.fixture(autouse=True)
+    def checks(self, monkeypatch):
+        """The ModularData (and generator) of each run of the unwrapped checks."""
+        runs, check_mtc, check_g = [], mtc._check_mtc, symmetry._check_automorphism
+
+        def spy_mtc(m):
+            runs.append((m,))
+            return check_mtc(m)
+
+        def spy_g(m, g):
+            runs.append((m, g))
+            return check_g(m, g)
+
+        monkeypatch.setattr(mtc, "_check_mtc", spy_mtc)
+        monkeypatch.setattr(symmetry, "_check_automorphism", spy_g)
+        return runs
+
+    @staticmethod
+    def write(tmp_path, m):
+        mtc_path, sym_path = tmp_path / "f.json", tmp_path / "s.json"
+        mtc_path.write_text(mtc_json(m))
+        sym_path.write_text(json.dumps({"mtc": "f.json", "generators": {"swap": "(e m)"}}))
+        return mtc_path, sym_path
+
+    def test_cli_repeats_check_once(self, checks, tmp_path, toric_code, capsys):
+        mtc_path, sym_path = self.write(tmp_path, toric_code)
+        for argv in (["validate", "--mtc", str(mtc_path), "--sym", str(sym_path), "--json"],
+                     ["rank", "--sym", str(sym_path), "--json"],
+                     ["burnside", "--sym", str(sym_path), "--json"]):
+            runs = []
+            for _ in range(2):
+                code = main(argv)
+                runs.append((code, *capsys.readouterr()))
+            assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][2] == ""
+        loaded = load_mtc(mtc_path)
+        assert checks == [(loaded,), (loaded, (0, 2, 1, 3))]
+        assert mtc._passed == {id(loaded): {None, (0, 2, 1, 3)}}
+
+    def test_rewritten_file_is_checked_again(self, checks, tmp_path, toric_code, capsys):
+        mtc_path, sym_path = self.write(tmp_path, toric_code)
+        argv = ["validate", "--mtc", str(mtc_path), "--sym", str(sym_path), "--json"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        before = mtc_path.read_bytes()
+        mtc_path.write_text(mtc_json(doubled(toric_code, (1, 2, 3))))
+        assert len(mtc_path.read_bytes()) == len(before)
+        assert main(argv) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["mtc"]["ok"] is False and doc["mtc"]["violations"]
+        assert [len(run) for run in checks] == [1, 2, 1, 2]
+
+    def test_failing_report_is_never_kept(self, checks, tmp_path, toric_code):
+        path = tmp_path / "t.json"
+        path.write_text(mtc_json(doubled(toric_code, (1, 2, 3))))
+        m, moves_unit = load_mtc(path), (1, 0, 2, 3)
+        reports = [validate_mtc(m), validate_mtc(m),
+                   symmetry.validate_automorphism(m, moves_unit),
+                   symmetry.validate_automorphism(m, moves_unit)]
+        assert not any(r.ok for r in reports)
+        assert reports[0] == reports[1] and reports[2] == reports[3]
+        assert checks == [(m,), (m,), (m, moves_unit), (m, moves_unit)]
+        assert mtc._passed == {id(m): set()}
+
+    def test_unloaded_data_is_never_memoized(self, checks, tmp_path, toric_code):
+        mtc_path, _ = self.write(tmp_path, toric_code)
+        inline = tmp_path / "inline.json"
+        inline.write_text(json.dumps({"mtc": json.loads(mtc_path.read_text()),
+                                      "generators": {}}))
+        loaded = load_mtc(mtc_path)
+        others = [loaded._replace(name="copy"), parse_mtc(mtc_path.read_bytes()),
+                  symmetry.load_symmetry(inline)[0]]
+        for m in others:
+            for _ in range(2):
+                assert validate_mtc(m).ok and symmetry.validate_automorphism(m, (0, 2, 1, 3)).ok
+        assert len(checks) == 4 * len(others)
+        assert list(mtc._passed) == [id(loaded)] and mtc._passed[id(loaded)] == set()
+
+    def test_memo_follows_the_cache(self, checks, tmp_path, toric_code):
+        paths = []
+        for i in range(mtc.LOADED_FILES + 1):
+            paths.append(tmp_path / f"t{i}.json")
+            paths[-1].write_text(mtc_json(toric_code._replace(name=f"t{i}")))
+            assert validate_mtc(load_mtc(paths[-1])).ok
+        assert set(mtc._passed) == {id(m) for m in mtc._loaded.values()}
+        assert len(mtc._passed) == mtc.LOADED_FILES
+        assert all(passed == {None} for passed in mtc._passed.values())
+        assert validate_mtc(load_mtc(paths[0])).ok  # evicted: parsed and checked again
+        assert len(checks) == mtc.LOADED_FILES + 2

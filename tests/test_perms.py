@@ -435,7 +435,7 @@ def test_permutations_are_image_tuples():
     exact_tuples(group.elements)
     exact_tuples(group.generators)
     _, rows = wreath.rank_wreath_subgroup(3, group)
-    exact_tuples(row[2] for row in rows)
+    exact_tuples(cycle for row in rows for cycle in row[2])  # each row's representative
 
 
 class TestFixedPointsAndOrbits:

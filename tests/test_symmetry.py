@@ -371,8 +371,9 @@ class TestBuildSymmetry:
 
     @pytest.mark.parametrize("command", ["validate", "rank", "burnside"])
     def test_one_table_per_cli_run(self, command, monkeypatch, capsys):
-        # validate_mtc builds the one table of a validate run; the generator
-        # checks of every command, and rank and burnside as a whole, build none
+        # validate_mtc's check builds the one table of a validate run; the
+        # generator checks of every command, and rank and burnside as a whole,
+        # build none
         builds = count_table_builds(monkeypatch)
         calls = []
         original = symmetry.validate_automorphism
@@ -386,7 +387,7 @@ class TestBuildSymmetry:
         sym = str(gcrank.bundled_data_path("toric_code_swap.json"))
         assert cli.main([command, "--mtc", mtc_path, "--sym", sym]) == 0
         assert len(calls) == 1
-        assert builds == ([(calls[0], "validate_mtc")] if command == "validate" else [])
+        assert builds == ([(calls[0], "_check_mtc")] if command == "validate" else [])
 
     def test_bad_generator_rejected(self, ising):
         with pytest.raises(NotAnAutomorphism):

@@ -87,7 +87,7 @@ def count_s_n_by_cycle_type(n):
     """Brute-force census of S_n elements grouped by cycle type."""
     census = {}
     for im in itertools.permutations(range(n)):
-        a = cycle_type_of(tuple(im))
+        a = cycle_type_of(perms.cycle_decomposition(tuple(im)))
         census[a] = census.get(a, 0) + 1
     return census
 
@@ -146,9 +146,13 @@ class TestPartitions:
             assert text == loop(a_of(entries))
         spec = (f"s{n}" if n <= 7 else
                 "(1 2),(3 4 5),(6 7 8 9),(10 11 12 13 14),(15 16 17 18 19 20)")
-        for entries, text, rep, *_ in rank_wreath_subgroup(2, preset_group(spec, n))[1]:
-            assert text == loop(cycle_type_of(rep))
-            assert a_of(entries) == cycle_type_of(rep)
+        group = preset_group(spec, n)
+        reps = {perms.cycle_decomposition(group.elements[cls[0]])
+                for cls in perms.conjugacy_classes(group).classes}
+        for entries, text, cycles, *_ in rank_wreath_subgroup(2, group)[1]:
+            assert cycles in reps
+            assert text == loop(cycle_type_of(cycles))
+            assert a_of(entries) == cycle_type_of(cycles)
 
     def test_class_size_division_exact(self):
         # every class size divides n!; exercise a spread of n
@@ -200,17 +204,17 @@ class TestWalk:
 
 class TestCycleTypeOf:
     def test_identity(self):
-        a = cycle_type_of(identity(5))
+        a = cycle_type_of(perms.cycle_decomposition(identity(5)))
         assert a == (5, 0, 0, 0, 0)
         assert sum(a) == 5
 
     def test_double_transposition(self):
-        a = cycle_type_of(parse_cycles("(1 2)(3 4)", 4))
+        a = cycle_type_of(perms.cycle_decomposition(parse_cycles("(1 2)(3 4)", 4)))
         assert a == (0, 2, 0, 0)
         assert sum(a) == 2
 
     def test_three_cycle_with_fixed_point(self):
-        a = cycle_type_of(parse_cycles("(1 2 3)", 4))
+        a = cycle_type_of(perms.cycle_decomposition(parse_cycles("(1 2 3)", 4)))
         assert a == (1, 0, 1, 0)
         assert sum(a) == 2
 
@@ -219,7 +223,7 @@ class TestCycleTypeOf:
     ))
     def test_agrees_with_cycle_decomposition(self, p):
         cycles = perms.cycle_decomposition(p)
-        a = cycle_type_of(p)
+        a = cycle_type_of(cycles)
         assert sum(a) == len(cycles)
         for j, aj in enumerate(a, start=1):
             assert aj == sum(1 for c in cycles if len(c) == j)

@@ -32,6 +32,15 @@ def cycle_type_text(a):
     return " ".join(parts) or "-"
 
 
+def reassemble(cycles):
+    """The permutation whose cycle decomposition is ``cycles``."""
+    images = [0] * sum(map(len, cycles))
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a] = b
+    return tuple(images)
+
+
 def oracle_doc(total, rows, rk, n, group_spec, order):
     return {
         "rk": str(rk),
@@ -43,7 +52,7 @@ def oracle_doc(total, rows, rk, n, group_spec, order):
             {
                 "cycle_type": list(a_of(entries) if rep is None else wreath.cycle_type_of(rep)),
                 "representative": (
-                    perms.format_cycles(rep)
+                    perms.format_cycles(reassemble(rep))
                     if rep is not None
                     else cycle_type_text(a_of(entries))
                 ),
