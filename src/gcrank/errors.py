@@ -27,11 +27,16 @@ class GroupTooLarge(GcrankError):
 
 
 class NotAnAutomorphism(GcrankError):
+    """A generator that is not a fusion-ring automorphism.  ``build_symmetry``
+    stops at its first violation, so ``report`` holds that one alone; the
+    text names it and points to ``validate --sym``, which lists them all:
+    ``generator 'g' is not a fusion-ring automorphism: <first message>
+    (validate --sym lists every violation)``."""
+
     def __init__(self, name, report):
-        first, *rest = report.violations
-        more = f" (and {len(rest)} more; validate --sym lists them)" if rest else ""
         super().__init__(f"generator {name!r} is not a fusion-ring automorphism: "
-                         f"{first.message}{more}")
+                         f"{report.violations[0].message} "
+                         "(validate --sym lists every violation)")
         self.name = name
         self.report = report
 

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import itertools
 import json
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +27,7 @@ from conftest import (
     compose,
     fixture_path,
     identity,
+    mtc_json,
     reference_factor_permutation,
     reference_materialize_power,
     symmetric_power_symmetry,
@@ -187,6 +191,20 @@ def count_table_builds(monkeypatch):
     return builds
 
 
+def spy_violations(monkeypatch):
+    """The (ModularData, generator) of each generator check from now on, by
+    ``validate_automorphism`` or ``build_symmetry``."""
+    calls = []
+    violations = symmetry._violations
+
+    def spy(m, g):
+        calls.append((m, g))
+        return violations(m, g)
+
+    monkeypatch.setattr(symmetry, "_violations", spy)
+    return calls
+
+
 @st.composite
 def labelled_permutations(draw):
     """A power of a bundled MTC with an automorphism, a random label
@@ -344,14 +362,7 @@ class TestBuildSymmetry:
 
     def test_only_generators_validated(self, ising, monkeypatch):
         builds = count_table_builds(monkeypatch)
-        calls = []
-        original = symmetry.validate_automorphism
-
-        def spy(m, p):
-            calls.append(p)
-            return original(m, p)
-
-        monkeypatch.setattr(symmetry, "validate_automorphism", spy)
+        calls = spy_violations(monkeypatch)
         _, s = symmetric_power_symmetry(ising, 4)
         generators = wreath.preset_generators("s4", 4)
         assert s.order == 24
@@ -375,19 +386,12 @@ class TestBuildSymmetry:
         # generator checks of every command, and rank and burnside as a whole,
         # build none
         builds = count_table_builds(monkeypatch)
-        calls = []
-        original = symmetry.validate_automorphism
-
-        def spy(m, p):
-            calls.append(m)
-            return original(m, p)
-
-        monkeypatch.setattr(symmetry, "validate_automorphism", spy)
+        calls = spy_violations(monkeypatch)
         mtc_path = str(gcrank.bundled_data_path("toric_code.json"))
         sym = str(gcrank.bundled_data_path("toric_code_swap.json"))
         assert cli.main([command, "--mtc", mtc_path, "--sym", sym]) == 0
         assert len(calls) == 1
-        assert builds == ([(calls[0], "_check_mtc")] if command == "validate" else [])
+        assert builds == ([(calls[0][0], "_check_mtc")] if command == "validate" else [])
 
     def test_bad_generator_rejected(self, ising):
         with pytest.raises(NotAnAutomorphism):
@@ -406,6 +410,150 @@ class TestBuildSymmetry:
             lifted = reference_factor_permutation(base, n, tuple(im))
             report = validate_automorphism(power, lifted)
             assert report.ok, report.violations
+
+
+# the bundled files, Z_4 (whose labels 1 and 3 are dual to each other), and
+# powers of Fibonacci and Ising
+REFUSAL_FILES = [
+    gcrank.load_mtc(gcrank.bundled_data_path(f"{name}.json"))
+    for name in ("fibonacci", "ising", "toric_code")
+] + [gcrank.load_mtc(fixture_path("z4.json"))] + [
+    reference_materialize_power(gcrank.load_mtc(gcrank.bundled_data_path(f"{name}.json")), k)
+    for name, k in [("fibonacci", 2), ("fibonacci", 3), ("ising", 2), ("ising", 3)]
+]
+
+
+@st.composite
+def label_permutations(draw):
+    """A file of REFUSAL_FILES and a permutation of its labels: random, with
+    the unit moved, within the twist classes with the unit fixed (duals or
+    fusion break, if anything), or that with two twists exchanged."""
+    m = draw(st.sampled_from(REFUSAL_FILES))
+    kind = draw(st.sampled_from(["random", "unit-moved", "twist-classes", "twist-broken"]))
+    if kind in ("random", "unit-moved"):
+        images = list(draw(st.permutations(range(m.rank))))
+        if kind == "unit-moved" and images[m.unit] == m.unit:
+            j = draw(st.integers(0, m.rank - 1).filter(lambda j: j != m.unit))
+            images[m.unit], images[j] = images[j], images[m.unit]
+        return m, tuple(images)
+    classes: dict[int, list[int]] = {}
+    for x in range(m.rank):
+        if x != m.unit:
+            classes.setdefault(m.twists[x], []).append(x)
+    images = list(range(m.rank))
+    for labels in classes.values():
+        for x, y in zip(labels, draw(st.permutations(labels))):
+            images[x] = y
+    if kind == "twist-broken" and len(classes) > 1:
+        a, b = draw(st.lists(st.sampled_from(list(classes)), min_size=2, max_size=2,
+                             unique=True))
+        x, y = draw(st.sampled_from(classes[a])), draw(st.sampled_from(classes[b]))
+        images[x], images[y] = images[y], images[x]
+    return m, tuple(images)
+
+
+def refusal_text(violation) -> str:
+    return ("error: generator 'g' is not a fusion-ring automorphism: "
+            f"{violation.message} (validate --sym lists every violation)\n")
+
+
+def assert_refused_at_first(m, p):
+    """build_symmetry refuses p with the first violation of the full report,
+    alone, and ``rank`` prints it; a p that passes gives a group and exit 0.
+    Returns the full report's violations."""
+    full = validate_automorphism(m, p).violations
+    if full:
+        with pytest.raises(NotAnAutomorphism) as exc:
+            build_symmetry(m, {"g": p})
+        assert exc.value.report.violations == full[:1]
+    else:
+        assert p in build_symmetry(m, {"g": p}).elements
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "m.json").write_text(mtc_json(m))
+        sym = Path(tmp, "s.json")
+        sym.write_text(json.dumps({"mtc": "m.json",
+                                   "generators": {"g": [m.labels[i] for i in p]}}))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["rank", "--sym", str(sym)])
+    if full:
+        assert (code, out.getvalue(), err.getvalue()) == (1, "", refusal_text(full[0]))
+    else:
+        assert code == 0 and err.getvalue() == ""
+    return full
+
+
+class TestRefusal:
+    """rank and burnside refuse a generator at its first violation."""
+
+    @given(label_permutations())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_refused_violation_is_the_first(self, case):
+        assert_refused_at_first(*case)
+
+    @pytest.mark.parametrize("file, cycles, rule", [
+        ("fibonacci", "(1 tau)", "unit"),
+        ("z4", "(1 2)", "dual"),
+        ("toric_code", "(e f)", "twist"),
+        ("ising^2", "(1*sigma sigma*1)", "fusion"),
+    ])
+    def test_each_rule_refused_first(self, file, cycles, rule):
+        m = next(m for m in REFUSAL_FILES if m.name == file)
+        full = assert_refused_at_first(m, parse_generator(m, cycles))
+        assert full[0].rule == rule and len(full) > 1
+
+    def test_unit_refusal_walks_no_fusion_entry(self, fibonacci, monkeypatch):
+        class WatchedFusion(dict):
+            """A fusion dict that counts the walks over it."""
+            walks = 0
+
+            def __iter__(self):
+                self.walks += 1
+                return super().__iter__()
+
+            def items(self):
+                self.walks += 1
+                return super().items()
+
+        power = reference_materialize_power(fibonacci, 5)
+        m = power._replace(fusion=WatchedFusion(power.fusion))
+        made = []
+
+        def counted(*fields):
+            made.append(Violation(*fields))
+            return made[-1]
+
+        monkeypatch.setattr(symmetry, "Violation", counted)
+        images = list(reference_factor_permutation(fibonacci, 5, (1, 2, 3, 4, 0)))
+        images[m.unit], images[-1] = images[-1], images[m.unit]
+        p = tuple(images)
+        with pytest.raises(NotAnAutomorphism) as exc:
+            build_symmetry(m, {"g": p})
+        assert made == list(exc.value.report.violations) and len(made) == 1
+        assert m.fusion.walks == 0
+        # the spies see the full check walk the entries and make every violation
+        full = validate_automorphism(m, p).violations
+        assert m.fusion.walks > 0 and len(full) > 100 and made == [made[0], *full]
+
+    def test_passing_verdicts_shared(self, monkeypatch):
+        calls = spy_violations(monkeypatch)
+        m = gcrank.load_mtc(gcrank.bundled_data_path("toric_code.json"))
+        swap, same = parse_generator(m, "(e m)"), identity(m.rank)
+        assert build_symmetry(m, {"swap": swap}).order == 2
+        assert validate_automorphism(m, swap).ok
+        assert validate_automorphism(m, same).ok
+        assert build_symmetry(m, {"identity": same}).order == 1
+        assert calls == [(m, swap), (m, same)]
+
+    def test_refused_generator_checked_every_call(self, monkeypatch):
+        calls = spy_violations(monkeypatch)
+        m = gcrank.load_mtc(gcrank.bundled_data_path("toric_code.json"))
+        moves_unit = parse_generator(m, "(1 e)")
+        for _ in range(2):
+            with pytest.raises(NotAnAutomorphism):
+                build_symmetry(m, {"g": moves_unit})
+            assert not validate_automorphism(m, moves_unit).ok
+        assert calls == [(m, moves_unit)] * 4
 
 
 class TestSymmetryFiles:
